@@ -255,10 +255,19 @@ int Main(int argc, char** argv) {
   std::printf("\nstorage maintenance latency (process-wide registry):\n");
   PrintHistogramSummary(snap, "lsm_flush_duration_us");
   PrintHistogramSummary(snap, "lsm_merge_duration_us");
+  // Write amplification: bytes merges rewrote per byte flushed.
+  int64_t flush_bytes = snap.CounterValue("lsm_flush_bytes_total");
+  int64_t merge_bytes = snap.CounterValue("lsm_merge_bytes_total");
   std::printf("  lsm_flushes_total=%lld lsm_merges_total=%lld "
-              "lsm_flush_backlog=%lld\n",
+              "write_amp=%.2f (lsm_merge_bytes_total=%lld / "
+              "lsm_flush_bytes_total=%lld) lsm_flush_backlog=%lld\n",
               static_cast<long long>(snap.CounterValue("lsm_flushes_total")),
               static_cast<long long>(snap.CounterValue("lsm_merges_total")),
+              flush_bytes > 0 ? static_cast<double>(merge_bytes) /
+                                    static_cast<double>(flush_bytes)
+                              : 0.0,
+              static_cast<long long>(merge_bytes),
+              static_cast<long long>(flush_bytes),
               static_cast<long long>(snap.GaugeValue("lsm_flush_backlog")));
 
   std::FILE* out = std::fopen("BENCH_ingest.json", "w");

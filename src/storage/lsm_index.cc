@@ -1,7 +1,6 @@
 #include "storage/lsm_index.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "common/clock.h"
 #include "common/failpoint.h"
@@ -16,8 +15,118 @@ const adm::Value* SortedRun::Get(const std::string& key) const {
   auto it = std::lower_bound(
       entries_.begin(), entries_.end(), key,
       [](const Entry& e, const std::string& k) { return e.first < k; });
-  if (it != entries_.end() && it->first == key) return &it->second;
+  if (it != entries_.end() && it->first == key) return &it->second.value;
   return nullptr;
+}
+
+class LsmIndex::Cursor {
+ public:
+  explicit Cursor(const SortedRun& run)
+      : run_it_(run.entries().data()), run_end_(run_it_ + run.size()) {
+    Load();
+  }
+  explicit Cursor(const Memtable& memtable)
+      : is_run_(false), mem_it_(memtable.begin()), mem_end_(memtable.end()) {
+    Load();
+  }
+
+  bool done() const { return key_ == nullptr; }
+  /// The current entry; both references stay valid after Next() (they
+  /// point into the component, which the merge's caller keeps alive).
+  const std::string& key() const { return *key_; }
+  const SizedValue& value() const { return *value_; }
+
+  void Next() {
+    if (is_run_) {
+      ++run_it_;
+    } else {
+      ++mem_it_;
+    }
+    Load();
+  }
+
+ private:
+  void Load() {
+    key_ = nullptr;
+    if (is_run_ && run_it_ != run_end_) {
+      key_ = &run_it_->first;
+      value_ = &run_it_->second;
+    } else if (!is_run_ && mem_it_ != mem_end_) {
+      key_ = &mem_it_->first;
+      value_ = &mem_it_->second;
+    }
+  }
+
+  bool is_run_ = true;
+  const SortedRun::Entry* run_it_ = nullptr;
+  const SortedRun::Entry* run_end_ = nullptr;
+  Memtable::const_iterator mem_it_;
+  Memtable::const_iterator mem_end_;
+  const std::string* key_ = nullptr;  // null once exhausted
+  const SizedValue* value_ = nullptr;
+};
+
+struct LsmIndex::Snapshot {
+  std::vector<std::shared_ptr<SortedRun>> runs;            // oldest first
+  std::deque<std::shared_ptr<const Memtable>> immutables;  // oldest first
+  std::shared_ptr<SortedRun> active;  // copy of the active memtable
+
+  /// Appends one cursor per component, oldest first.
+  void AppendCursors(std::vector<Cursor>* cursors) const {
+    for (const auto& run : runs) cursors->emplace_back(*run);
+    for (const auto& imm : immutables) cursors->emplace_back(*imm);
+    cursors->emplace_back(*active);
+  }
+};
+
+template <typename Emit>
+void LsmIndex::MergeCursors(std::vector<Cursor> cursors, bool drop_tombstones,
+                            Emit&& emit) {
+  // Binary min-heap of cursor indices ordered by (key, newest first); a
+  // higher index is a newer component.
+  auto before = [&cursors](size_t a, size_t b) {
+    int c = cursors[a].key().compare(cursors[b].key());
+    return c < 0 || (c == 0 && a > b);
+  };
+  std::vector<size_t> heap;
+  heap.reserve(cursors.size());
+  for (size_t i = 0; i < cursors.size(); ++i) {
+    if (!cursors[i].done()) heap.push_back(i);
+  }
+  auto sift_down = [&](size_t pos) {
+    while (true) {
+      size_t best = pos;
+      size_t left = 2 * pos + 1;
+      size_t right = left + 1;
+      if (left < heap.size() && before(heap[left], heap[best])) best = left;
+      if (right < heap.size() && before(heap[right], heap[best])) {
+        best = right;
+      }
+      if (best == pos) return;
+      std::swap(heap[pos], heap[best]);
+      pos = best;
+    }
+  };
+  auto advance_top = [&] {
+    Cursor& top = cursors[heap.front()];
+    top.Next();
+    if (top.done()) {
+      heap.front() = heap.back();
+      heap.pop_back();
+    }
+    if (!heap.empty()) sift_down(0);
+  };
+  for (size_t i = heap.size() / 2; i-- > 0;) sift_down(i);
+  while (!heap.empty()) {
+    const Cursor& top = cursors[heap.front()];
+    const std::string& key = top.key();
+    const SizedValue& value = top.value();
+    if (!drop_tombstones || !IsTombstone(value.value)) emit(key, value);
+    // Skip the older components' entries for the same key.
+    do {
+      advance_top();
+    } while (!heap.empty() && cursors[heap.front()].key() == key);
+  }
 }
 
 LsmIndex::LsmIndex(LsmOptions options) : options_(options) {
@@ -34,6 +143,8 @@ LsmIndex::LsmIndex(LsmOptions options) : options_(options) {
   metric_merges_ = reg.GetCounter("lsm_merges_total");
   metric_flush_duration_us_ = reg.GetHistogram("lsm_flush_duration_us");
   metric_merge_duration_us_ = reg.GetHistogram("lsm_merge_duration_us");
+  metric_flush_bytes_ = reg.GetCounter("lsm_flush_bytes_total");
+  metric_merge_bytes_ = reg.GetCounter("lsm_merge_bytes_total");
   metric_flush_backlog_ = reg.GetGauge("lsm_flush_backlog");
   if (options_.async_maintenance) {
     maintenance_running_ = true;
@@ -65,18 +176,25 @@ std::shared_ptr<SortedRun> LsmIndex::BuildRun(const Memtable& memtable) {
 std::shared_ptr<SortedRun> LsmIndex::MergeRuns(
     const std::vector<std::shared_ptr<SortedRun>>& runs,
     bool drop_tombstones) {
-  // Oldest-to-newest apply: the newest value for a key wins.
-  std::map<std::string, adm::Value> merged;
+  std::vector<Cursor> cursors;
+  cursors.reserve(runs.size());
+  size_t max_entries = 0;
   for (const auto& run : runs) {
-    for (const auto& [k, v] : run->entries()) merged[k] = v;
+    cursors.emplace_back(*run);
+    max_entries += run->size();
   }
   std::vector<SortedRun::Entry> entries;
-  entries.reserve(merged.size());
-  for (auto& [k, v] : merged) {
-    if (drop_tombstones && IsTombstone(v)) continue;
-    entries.emplace_back(k, std::move(v));
-  }
+  entries.reserve(max_entries);
+  MergeCursors(std::move(cursors), drop_tombstones,
+               [&entries](const std::string& key, const SizedValue& value) {
+                 entries.emplace_back(key, value);
+               });
   return std::make_shared<SortedRun>(std::move(entries));
+}
+
+LsmIndex::Snapshot LsmIndex::TakeSnapshot() const {
+  common::MutexLock lock(mutex_);
+  return {runs_, immutables_, BuildRun(memtable_)};
 }
 
 void LsmIndex::SealLocked() {
@@ -99,6 +217,7 @@ void LsmIndex::FlushNowLocked() {
   runs_.push_back(BuildRun(memtable_));
   metric_flush_duration_us_->Record(timer.ElapsedMicros());
   metric_flushes_->Add(1);
+  metric_flush_bytes_->Add(static_cast<int64_t>(runs_.back()->approx_bytes()));
   memtable_.clear();
   // The bytes moved out of the governed write path into a run.
   if (memtable_pool_ != nullptr && memtable_bytes_ > 0) {
@@ -123,13 +242,15 @@ void LsmIndex::MergeNowLocked() {
   runs_ = {MergeRuns(runs_, /*drop_tombstones=*/true)};
   metric_merge_duration_us_->Record(timer.ElapsedMicros());
   metric_merges_->Add(1);
+  metric_merge_bytes_->Add(static_cast<int64_t>(runs_.front()->approx_bytes()));
   ++stats_.merges;
   if (merge_pool_ != nullptr) merge_pool_->Release(input_bytes);
 }
 
 Status LsmIndex::Insert(const std::string& key, adm::Value value) {
   ASTERIX_FAILPOINT("storage.lsm.insert");
-  size_t bytes = key.size() + value.ApproxSizeBytes();
+  SizedValue sized = SizedValue::Of(key, std::move(value));
+  size_t bytes = sized.bytes;
   // Governor admission before any mutation: an exhausted "memtable" pool
   // surfaces as a typed error the at-least-once protocol simply retries
   // (the charge mirrors memtable_bytes_ and is released at flush time).
@@ -147,7 +268,7 @@ Status LsmIndex::Insert(const std::string& key, adm::Value value) {
     });
     stats_.insert_stall_ms += stall.ElapsedMillis();
   }
-  memtable_[key] = std::move(value);
+  memtable_[key] = std::move(sized);
   memtable_bytes_ += bytes;
   ++stats_.inserts;
   if (memtable_bytes_ >= options_.memtable_bytes_limit) {
@@ -179,8 +300,8 @@ std::optional<adm::Value> LsmIndex::Get(const std::string& key) const {
     common::MutexLock lock(mutex_);
     auto it = memtable_.find(key);
     if (it != memtable_.end()) {
-      if (IsTombstone(it->second)) return std::nullopt;
-      return it->second;
+      if (IsTombstone(it->second.value)) return std::nullopt;
+      return it->second.value;
     }
     immutables = immutables_;
     runs = runs_;
@@ -188,8 +309,8 @@ std::optional<adm::Value> LsmIndex::Get(const std::string& key) const {
   for (auto rit = immutables.rbegin(); rit != immutables.rend(); ++rit) {
     auto it = (*rit)->find(key);
     if (it != (*rit)->end()) {
-      if (IsTombstone(it->second)) return std::nullopt;
-      return it->second;
+      if (IsTombstone(it->second.value)) return std::nullopt;
+      return it->second.value;
     }
   }
   for (auto rit = runs.rbegin(); rit != runs.rend(); ++rit) {
@@ -206,55 +327,22 @@ void LsmIndex::Scan(const std::function<void(const std::string&,
                                              const adm::Value&)>& visitor)
     const {
   // Snapshot components under the lock, then merge outside it.
-  Memtable memtable_copy;
-  std::deque<std::shared_ptr<const Memtable>> immutables;
-  std::vector<std::shared_ptr<SortedRun>> runs;
-  {
-    common::MutexLock lock(mutex_);
-    memtable_copy = memtable_;
-    immutables = immutables_;
-    runs = runs_;
-  }
-  // Oldest-to-newest apply into one map: newest value wins naturally.
-  std::map<std::string, adm::Value> merged;
-  for (const auto& run : runs) {
-    for (const auto& [k, v] : run->entries()) merged[k] = v;
-  }
-  for (const auto& imm : immutables) {
-    for (const auto& [k, v] : *imm) merged[k] = v;
-  }
-  for (const auto& [k, v] : memtable_copy) merged[k] = v;
-  for (const auto& [k, v] : merged) {
-    if (IsTombstone(v)) continue;  // deleted key
-    visitor(k, v);
-  }
+  Snapshot snapshot = TakeSnapshot();
+  std::vector<Cursor> cursors;
+  snapshot.AppendCursors(&cursors);
+  MergeCursors(std::move(cursors), /*drop_tombstones=*/true,
+               [&visitor](const std::string& key, const SizedValue& value) {
+                 visitor(key, value.value);
+               });
 }
 
 int64_t LsmIndex::Size() const {
-  std::vector<std::pair<std::string, bool>> memtable_keys;
-  std::deque<std::shared_ptr<const Memtable>> immutables;
-  std::vector<std::shared_ptr<SortedRun>> runs;
-  {
-    common::MutexLock lock(mutex_);
-    memtable_keys.reserve(memtable_.size());
-    for (const auto& [k, v] : memtable_) {
-      memtable_keys.emplace_back(k, IsTombstone(v));
-    }
-    immutables = immutables_;
-    runs = runs_;
-  }
-  // Oldest-to-newest: the newest occurrence decides whether the key is
-  // live or deleted.
-  std::unordered_map<std::string_view, bool> live;
-  for (const auto& run : runs) {
-    for (const auto& [k, v] : run->entries()) live[k] = !IsTombstone(v);
-  }
-  for (const auto& imm : immutables) {
-    for (const auto& [k, v] : *imm) live[k] = !IsTombstone(v);
-  }
-  for (const auto& [k, dead] : memtable_keys) live[k] = !dead;
+  Snapshot snapshot = TakeSnapshot();
+  std::vector<Cursor> cursors;
+  snapshot.AppendCursors(&cursors);
   int64_t count = 0;
-  for (const auto& [k, is_live] : live) count += is_live ? 1 : 0;
+  MergeCursors(std::move(cursors), /*drop_tombstones=*/true,
+               [&count](const std::string&, const SizedValue&) { ++count; });
   return count;
 }
 
@@ -322,6 +410,7 @@ void LsmIndex::MaintenanceMain() {
           MergeRuns(to_merge, /*drop_tombstones=*/true);
       metric_merge_duration_us_->Record(merge_timer.ElapsedMicros());
       metric_merges_->Add(1);
+      metric_merge_bytes_->Add(static_cast<int64_t>(merged->approx_bytes()));
       if (merge_pool_ != nullptr) merge_pool_->Release(merge_input_bytes);
       mutex_.Lock();
       runs_.erase(runs_.begin(),
@@ -329,6 +418,11 @@ void LsmIndex::MaintenanceMain() {
       runs_.insert(runs_.begin(), std::move(merged));
       ++stats_.merges;
       drained_cv_.NotifyAll();
+      // Destroy the merged-away runs off-lock (a reader's snapshot may
+      // still pin some), so inserts and Get never wait on a destructor.
+      mutex_.Unlock();
+      to_merge.clear();
+      mutex_.Lock();
       continue;
     }
     if (!immutables_.empty()) {
@@ -344,6 +438,7 @@ void LsmIndex::MaintenanceMain() {
       std::shared_ptr<SortedRun> run = BuildRun(*imm);
       metric_flush_duration_us_->Record(flush_timer.ElapsedMicros());
       metric_flushes_->Add(1);
+      metric_flush_bytes_->Add(static_cast<int64_t>(run->approx_bytes()));
       mutex_.Lock();
       runs_.push_back(std::move(run));
       immutables_.pop_front();
@@ -353,6 +448,10 @@ void LsmIndex::MaintenanceMain() {
       immutable_bytes_.pop_front();
       metric_flush_backlog_->Add(-1);
       drained_cv_.NotifyAll();
+      // Destroy the flushed memtable off-lock, as with merged-away runs.
+      mutex_.Unlock();
+      imm.reset();
+      mutex_.Lock();
       continue;
     }
     if (stop_) break;
@@ -420,35 +519,21 @@ std::optional<adm::Value> PartitionedLsmIndex::Get(
 void PartitionedLsmIndex::Scan(
     const std::function<void(const std::string&, const adm::Value&)>&
         visitor) const {
-  if (partitions_.size() == 1) {
-    partitions_[0]->Scan(visitor);
-    return;
+  // One merge over every partition's components. Keys are disjoint across
+  // partitions, so equal keys only ever meet within one partition, whose
+  // cursors keep their oldest-first order.
+  std::vector<LsmIndex::Snapshot> snapshots;
+  snapshots.reserve(partitions_.size());
+  std::vector<LsmIndex::Cursor> cursors;
+  for (const auto& p : partitions_) {
+    snapshots.push_back(p->TakeSnapshot());
+    snapshots.back().AppendCursors(&cursors);
   }
-  // Collect each partition's (sorted) contents, then k-way merge. Keys are
-  // disjoint across partitions, so no newest-wins arbitration is needed.
-  std::vector<std::vector<SortedRun::Entry>> streams(partitions_.size());
-  for (size_t i = 0; i < partitions_.size(); ++i) {
-    partitions_[i]->Scan([&](const std::string& k, const adm::Value& v) {
-      streams[i].emplace_back(k, v);
-    });
-  }
-  std::vector<size_t> heads(streams.size(), 0);
-  while (true) {
-    int best = -1;
-    for (size_t i = 0; i < streams.size(); ++i) {
-      if (heads[i] >= streams[i].size()) continue;
-      if (best < 0 || streams[i][heads[i]].first <
-                          streams[static_cast<size_t>(best)]
-                                 [heads[static_cast<size_t>(best)]]
-                                     .first) {
-        best = static_cast<int>(i);
-      }
-    }
-    if (best < 0) break;
-    auto& entry = streams[static_cast<size_t>(best)]
-                         [heads[static_cast<size_t>(best)]++];
-    visitor(entry.first, entry.second);
-  }
+  LsmIndex::MergeCursors(
+      std::move(cursors), /*drop_tombstones=*/true,
+      [&visitor](const std::string& key, const SizedValue& value) {
+        visitor(key, value.value);
+      });
 }
 
 int64_t PartitionedLsmIndex::Size() const {

@@ -25,24 +25,37 @@
 namespace asterix {
 namespace storage {
 
+/// A stored value with its approximate payload bytes
+/// (`key.size() + value.ApproxSizeBytes()`). Insert sizes each record once;
+/// flushes and merges carry the size along instead of re-walking the
+/// record. Values are copy-on-write, so a stored record never changes size.
+struct SizedValue {
+  adm::Value value;
+  size_t bytes = 0;
+
+  static SizedValue Of(const std::string& key, adm::Value value) {
+    size_t bytes = key.size() + value.ApproxSizeBytes();
+    return {std::move(value), bytes};
+  }
+};
+
 /// Immutable sorted component produced by a memtable flush or a merge.
 class SortedRun {
  public:
-  using Entry = std::pair<std::string, adm::Value>;
+  using Entry = std::pair<std::string, SizedValue>;
 
+  /// `entries` must be sorted by key with unique keys.
   explicit SortedRun(std::vector<Entry> entries)
       : entries_(std::move(entries)) {
-    for (const auto& [k, v] : entries_) {
-      approx_bytes_ += k.size() + v.ApproxSizeBytes();
-    }
+    for (const auto& entry : entries_) approx_bytes_ += entry.second.bytes;
   }
 
   const adm::Value* Get(const std::string& key) const;
   const std::vector<Entry>& entries() const { return entries_; }
   size_t size() const { return entries_.size(); }
-  /// Approximate payload bytes, computed once at construction. Merge
-  /// admission charges the governor's "merge" pool with the input runs'
-  /// totals while a merge is in flight.
+  /// Approximate payload bytes: the sum of the entries' stored sizes.
+  /// Merge admission charges the governor's "merge" pool with the input
+  /// runs' totals while a merge is in flight.
   size_t approx_bytes() const { return approx_bytes_; }
 
  private:
@@ -148,8 +161,30 @@ class LsmIndex {
   size_t flush_backlog() const;
   size_t merge_backlog() const;
 
+  /// Newest-wins merge of `runs` (oldest first) into one run. With
+  /// `drop_tombstones` deleted keys are left out, which is safe only when
+  /// the result becomes the oldest run (nothing below it left to shadow).
+  static std::shared_ptr<SortedRun> MergeRuns(
+      const std::vector<std::shared_ptr<SortedRun>>& runs,
+      bool drop_tombstones);
+
  private:
-  using Memtable = std::map<std::string, adm::Value>;
+  friend class PartitionedLsmIndex;
+  using Memtable = std::map<std::string, SizedValue>;
+  /// Walks one sorted component (a run or a memtable) in key order.
+  class Cursor;
+  /// The components a reader merges, pinned so it can walk them off-lock.
+  struct Snapshot;
+
+  /// Streaming k-way merge over sorted components. `cursors` is ordered
+  /// oldest first; for a key present in several components only the
+  /// newest is emitted, as emit(key, sized_value), in key order. With
+  /// `drop_tombstones` a key whose newest value is a tombstone is skipped.
+  template <typename Emit>
+  static void MergeCursors(std::vector<Cursor> cursors, bool drop_tombstones,
+                           Emit&& emit);
+  /// Pins every component (copying the active memtable into a run).
+  Snapshot TakeSnapshot() const;
 
   /// Moves the active memtable onto the sealed queue. Caller holds mutex_.
   void SealLocked() REQUIRES(mutex_);
@@ -162,11 +197,6 @@ class LsmIndex {
   void MaintenanceMain();
 
   static std::shared_ptr<SortedRun> BuildRun(const Memtable& memtable);
-  /// `drop_tombstones` is safe only when the merged result becomes the
-  /// oldest run (nothing below it left to shadow).
-  static std::shared_ptr<SortedRun> MergeRuns(
-      const std::vector<std::shared_ptr<SortedRun>>& runs,
-      bool drop_tombstones);
 
   const LsmOptions options_;
   mutable common::Mutex mutex_{common::LockRank::kLsmIndex};
@@ -198,6 +228,10 @@ class LsmIndex {
   common::Counter* metric_merges_ = nullptr;
   common::Histogram* metric_flush_duration_us_ = nullptr;
   common::Histogram* metric_merge_duration_us_ = nullptr;
+  /// Stored bytes written by flushes and by merges; write amplification
+  /// is merge bytes / flush bytes.
+  common::Counter* metric_flush_bytes_ = nullptr;
+  common::Counter* metric_merge_bytes_ = nullptr;
   /// Sealed memtables awaiting background flush across all LsmIndex
   /// instances in the process (+1 at seal, -1 when the run lands).
   common::Gauge* metric_flush_backlog_ = nullptr;
@@ -215,8 +249,9 @@ class PartitionedLsmIndex {
   [[nodiscard]] common::Status Delete(const std::string& key);
   std::optional<adm::Value> Get(const std::string& key) const;
 
-  /// Visits every live (key, value) pair in global key order (k-way merge
-  /// of the per-partition scans; partitions hold disjoint key sets).
+  /// Visits every live (key, value) pair in global key order: one k-way
+  /// merge over every partition's components (partitions hold disjoint
+  /// key sets, so newest-wins only ever arbitrates within a partition).
   void Scan(const std::function<void(const std::string&,
                                      const adm::Value&)>& visitor) const;
 

@@ -68,6 +68,65 @@ INSTANTIATE_TEST_SUITE_P(Seeds, LsmModelTest,
                          ::testing::Values(1, 7, 42, 1234, 99991, 31337,
                                            271828, 3141592));
 
+// --- streaming k-way merge (LsmIndex::MergeRuns) vs std::map reference ---
+
+class MergeRunsTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(MergeRunsTest, NewestWinsAndCarriesStoredSizes) {
+  common::Rng rng(GetParam());
+  for (int round = 0; round < 60; ++round) {
+    // 0..5 overlapping runs, oldest first; any of them may be empty. A
+    // small key space makes keys recur across runs, and about a quarter of
+    // the writes are tombstones (null).
+    int64_t run_count = rng.Uniform(0, 5);
+    int64_t key_space = rng.Uniform(1, 80);
+    std::vector<std::shared_ptr<storage::SortedRun>> runs;
+    std::map<std::string, Value> newest;  // reference: last write per key
+    for (int64_t r = 0; r < run_count; ++r) {
+      std::map<std::string, Value> run_model;
+      int64_t writes = rng.Uniform(0, 50);
+      for (int64_t i = 0; i < writes; ++i) {
+        auto key = storage::EncodeKey(Value::Int64(rng.Uniform(0, key_space)))
+                       .value();
+        run_model[key] = rng.Uniform(0, 3) == 0
+                             ? Value::Null()
+                             : Value::String(rng.AlphaString(
+                                   static_cast<size_t>(rng.Uniform(0, 40))));
+      }
+      std::vector<storage::SortedRun::Entry> entries;
+      for (const auto& [key, value] : run_model) {
+        entries.emplace_back(key, storage::SizedValue::Of(key, value));
+        newest[key] = value;
+      }
+      runs.push_back(std::make_shared<storage::SortedRun>(std::move(entries)));
+    }
+
+    for (bool drop_tombstones : {false, true}) {
+      std::shared_ptr<storage::SortedRun> merged =
+          storage::LsmIndex::MergeRuns(runs, drop_tombstones);
+      std::vector<std::pair<std::string, Value>> expected;
+      for (const auto& [key, value] : newest) {
+        if (drop_tombstones && storage::LsmIndex::IsTombstone(value)) continue;
+        expected.emplace_back(key, value);
+      }
+      ASSERT_EQ(merged->size(), expected.size())
+          << "round " << round << " drop_tombstones=" << drop_tombstones;
+      size_t recomputed_bytes = 0;
+      for (size_t i = 0; i < expected.size(); ++i) {
+        const auto& [key, sized] = merged->entries()[i];
+        EXPECT_EQ(key, expected[i].first);
+        EXPECT_EQ(sized.value, expected[i].second);
+        recomputed_bytes += key.size() + sized.value.ApproxSizeBytes();
+      }
+      // Carried sizes add up to what re-walking the survivors gives.
+      EXPECT_EQ(merged->approx_bytes(), recomputed_bytes);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MergeRunsTest,
+                         ::testing::Values(3, 17, 42, 8191, 65537, 271828));
+
 // --- partitioned index: k-way merged Scan vs reference model -------------
 
 class PartitionedScanTest : public ::testing::TestWithParam<uint64_t> {};
