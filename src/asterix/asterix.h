@@ -35,9 +35,9 @@ namespace asterix {
 struct InstanceOptions {
   int num_nodes = 3;
   /// Node names; defaults to "A", "B", ... when empty.
-  std::vector<std::string> node_names;
+  std::vector<std::string> node_names{};
   /// Root directory for WALs and spill files (default: unique /tmp dir).
-  std::string storage_root;
+  std::string storage_root{};
   int64_t heartbeat_period_ms = 20;
   int64_t heartbeat_timeout_ms = 200;
   /// Start the congestion monitor (needed by the Elastic policy).

@@ -3,6 +3,7 @@
 
 #include "common/clock.h"
 #include "common/logging.h"
+#include "common/mpmc_queue.h"
 #include "common/strings.h"
 
 namespace asterix {
@@ -21,10 +22,9 @@ struct LocalCluster::SpoutTask {
 struct LocalCluster::BoltTask {
   int task_id = 0;
   std::unique_ptr<Bolt> bolt;
-  common::BlockingQueue<Envelope> queue;
+  common::MpmcQueue<Envelope> queue;
 
-  BoltTask(size_t capacity)
-      : queue(capacity, common::LockRank::kStormQueue) {}
+  explicit BoltTask(size_t capacity) : queue(capacity) {}
 };
 
 void LocalCluster::Acker::Register(int64_t root_id, int64_t timeout_at_ms,

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "adm/value.h"
-#include "common/blocking_queue.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
 
@@ -81,6 +80,8 @@ struct TopologyDef {
   int max_spout_pending = 1024;
   /// Tuple-tree timeout before Fail/replay.
   int64_t message_timeout_ms = 3000;
+  /// Per-bolt-task input queue bound (rounded up to a power of two); a
+  /// full queue blocks the emitting spout or bolt.
   size_t task_queue_capacity = 256;
 };
 

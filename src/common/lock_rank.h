@@ -54,13 +54,9 @@ enum class LockRank : uint16_t {
                            // storage/feeds lock: Release's waiter-notify
                            // path runs while callers hold kWal/kLsmIndex/
                            // kSubscriberQueue, so those must rank higher.
-  kBlockingQueue = 90,     // default rank for free-standing queues
 
   // ---- adm (100-119) ----
   kTypeRegistry = 110,     // adm datatype catalog
-
-  // ---- gen (120-149) ----
-  kTweetChannel = 130,     // tweetgen Channel queue
 
   // ---- storage (200-299): inner to outer along the write path ----
   kWal = 210,              // write-ahead log file
@@ -71,9 +67,8 @@ enum class LockRank : uint16_t {
   kDatasetCatalog = 260,   // cluster-wide dataset metadata
 
   // ---- hyracks (300-399) ----
-  // (310 was kTaskQueue, the task input queue's BlockingQueue mutex —
-  // retired when the pump moved to the rank-exempt lock-free ring in
-  // common/mpmc_queue.h.)
+  // (310 was kTaskQueue, the task input queue's mutex — retired when the
+  // pump moved to the rank-exempt lock-free ring in common/mpmc_queue.h.)
   kCollectSink = 320,      // CollectSinkOperator shared vector
   kNodeController = 330,   // node services + task roster
   kClusterController = 340,// cluster node/job/listener maps
@@ -98,7 +93,6 @@ enum class LockRank : uint16_t {
   kCentralFeedManager = 495, // outermost: connection/joint/head maps
 
   // ---- baseline (500-599) ----
-  kStormQueue = 510,       // storm tuple queues
   kStormSpoutTracker = 520,// spout pending/replay ledger
   kStormAcker = 530,       // acker XOR trees
   kMongoCollection = 540,  // mongo document map

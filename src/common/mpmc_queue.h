@@ -16,9 +16,8 @@
 //   * MpmcQueue<T> — a bounded Vyukov MPMC ring. Each slot carries a
 //     sequence counter; the slot protocol (below) makes a push/pop pair a
 //     single CAS plus one release store, with no mutex on the fast path.
-//     Batch APIs (TryPushN / PopAllBounded / PopAll) match
-//     BlockingQueue's batching semantics so the pump-side "one wakeup
-//     drains everything" speedup carries over.
+//     Batch APIs (TryPushN / PopAllBounded / PopAll) let one wakeup
+//     drain everything queued, so the pump pays one park per batch.
 //
 //   * OverwriteQueue<T> — a lossy newest-wins adapter over MpmcQueue for
 //     Discard-policy feeds and telemetry-grade streams: a full ring
@@ -263,10 +262,8 @@ class SnapshotPtr {
 };
 
 /// Bounded lock-free MPMC ring (Vyukov). Capacity is rounded up to a
-/// power of two. Drop-in for the BlockingQueue hot-path surface:
-/// Push/TryPush/Pop/PopAll/PopAllFor/TryPopAll/Close keep the same
-/// semantics (Close lets consumers drain, then Pop returns nullopt and
-/// PopAll returns empty; Push fails after Close).
+/// power of two. Close lets consumers drain, then Pop returns nullopt
+/// and PopAll returns empty; Push fails after Close.
 template <typename T>
 class MpmcQueue {
  public:
@@ -457,7 +454,7 @@ class MpmcQueue {
 
   /// Drains up to `max` queued items without blocking. One producer-side
   /// wakeup for the whole batch — the batched-hand-off contract the pump
-  /// loops rely on (BlockingQueue::PopAll's lock-free analogue).
+  /// loops rely on.
   ///
   /// Bulk ticket claim, mirroring TryPushN: verify a run of published
   /// slots (seq == pos+1), claim the whole run with one CAS on the

@@ -360,8 +360,36 @@ Status CentralFeedManager::BuildTailLocked(ConnectionInfo* conn) {
                                         : std::string();
                 }});
 
+  // Subscribe the intakes' input queues before the job starts, so no
+  // frame routed through the source joint between ConnectFeed returning
+  // and an intake task's Open misses its subscriber (Open adopts the
+  // queue through the intake handoff).
+  std::vector<std::pair<std::shared_ptr<FeedManager>, std::string>>
+      presubscribed;
+  for (size_t p = 0; p < conn->intake_locations.size(); ++p) {
+    hyracks::NodeController* node =
+        cluster_->GetNode(conn->intake_locations[p]);
+    if (node == nullptr || !node->alive()) continue;
+    std::shared_ptr<FeedManager> feed_manager = FeedManager::Of(node);
+    std::shared_ptr<FeedJoint> joint = feed_manager->LookupJoint(
+        JointInstanceId(source_base, static_cast<int>(p)));
+    if (joint != nullptr &&
+        FeedIntakeOperator::Presubscribe(feed_manager.get(), joint, pcfg,
+                                         static_cast<int>(p))) {
+      presubscribed.emplace_back(
+          feed_manager,
+          FeedIntakeOperator::StateKey(conn->id, static_cast<int>(p)));
+    }
+  }
+
   auto job = cluster_->StartJob(std::move(spec));
-  if (!job.ok()) return job.status();
+  if (!job.ok()) {
+    for (const auto& [feed_manager, key] : presubscribed) {
+      auto handoff = feed_manager->TakeIntakeHandoff(key);
+      if (handoff.has_value()) handoff->joint->Unsubscribe(handoff->queue);
+    }
+    return job.status();
+  }
   conn->tail_job = *job;
   conn->store_detached = false;
 

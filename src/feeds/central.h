@@ -34,7 +34,7 @@ struct ConnectOptions {
   int compute_count = -1;
   /// Explicit compute placement (applies to every assign stage);
   /// overrides compute_count when non-empty.
-  std::vector<std::string> compute_locations;
+  std::vector<std::string> compute_locations{};
 };
 
 /// Runtime record of one `connect feed ... to dataset ...`.

@@ -52,6 +52,11 @@ std::optional<FeedManager::IntakeHandoff> FeedManager::TakeIntakeHandoff(
   return handoff;
 }
 
+bool FeedManager::HasIntakeHandoff(const std::string& key) const {
+  common::MutexLock lock(mutex_);
+  return handoffs_.count(key) > 0;
+}
+
 void FeedManager::SaveZombieState(const std::string& key,
                                   std::vector<hyracks::FramePtr> frames) {
   common::MutexLock lock(mutex_);

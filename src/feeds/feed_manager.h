@@ -48,6 +48,7 @@ class FeedManager {
   };
   void SaveIntakeHandoff(const std::string& key, IntakeHandoff handoff);
   std::optional<IntakeHandoff> TakeIntakeHandoff(const std::string& key);
+  bool HasIntakeHandoff(const std::string& key) const;
 
   // --- zombie state (fault-tolerance protocol) ---
   /// Saves the unprocessed input frames of a zombie instance under `key`

@@ -4,6 +4,7 @@
 
 #include "adm/parser.h"
 #include "common/clock.h"
+#include "common/failpoint.h"
 #include "common/logging.h"
 #include "feeds/trace.h"
 
@@ -102,7 +103,42 @@ FeedIntakeOperator::FeedIntakeOperator(std::string source_joint_id,
     : source_joint_id_(std::move(source_joint_id)),
       pipeline_(std::move(pipeline)) {}
 
+std::string FeedIntakeOperator::StateKey(const std::string& connection_id,
+                                         int partition) {
+  return connection_id + ":intake:" + std::to_string(partition);
+}
+
+SubscriberOptions FeedIntakeOperator::InputOptions(
+    const PipelineConfig& pipeline, int partition) {
+  SubscriberOptions options;
+  options.mode = pipeline.policy.excess_mode();
+  options.memory_budget_bytes = pipeline.policy.memory_budget_bytes();
+  options.max_spill_bytes = pipeline.policy.max_spill_bytes();
+  options.throttle_after_spill = pipeline.policy.GetBool(
+      IngestionPolicy::kExcessRecordsThrottle, false) &&
+      options.mode == ExcessMode::kSpill;
+  options.spill_dir = pipeline.spill_dir;
+  options.name = pipeline.connection_id + ".p" + std::to_string(partition);
+  return options;
+}
+
+bool FeedIntakeOperator::Presubscribe(FeedManager* feed_manager,
+                                      const std::shared_ptr<FeedJoint>& joint,
+                                      const PipelineConfig& pipeline,
+                                      int partition) {
+  const std::string key = StateKey(pipeline.connection_id, partition);
+  if (feed_manager->HasIntakeHandoff(key)) return false;
+  feed_manager->SaveIntakeHandoff(
+      key, {joint, joint->Subscribe(InputOptions(pipeline, partition))});
+  return true;
+}
+
 Status FeedIntakeOperator::Open(TaskContext* ctx) {
+  // Delay seam (instance = connection id): a slow task start widens the
+  // window between ConnectFeed returning and this intake adopting its
+  // input queue. Error actions are ignored.
+  (void)ASTERIX_FAILPOINT_TRIGGERED("feeds.intake.open",
+                                    pipeline_.connection_id);
   feed_manager_ = FeedManager::Of(ctx->node());
   // The search API (§5.2): discover the co-located subscribable instance.
   source_joint_ = feed_manager_->LookupJoint(source_joint_id_);
@@ -112,25 +148,18 @@ Status FeedIntakeOperator::Open(TaskContext* ctx) {
                             "' (intake must be co-located)");
   }
 
-  SubscriberOptions options;
-  options.mode = pipeline_.policy.excess_mode();
-  options.memory_budget_bytes = pipeline_.policy.memory_budget_bytes();
-  options.max_spill_bytes = pipeline_.policy.max_spill_bytes();
-  options.throttle_after_spill = pipeline_.policy.GetBool(
-      IngestionPolicy::kExcessRecordsThrottle, false) &&
-      options.mode == ExcessMode::kSpill;
-  options.spill_dir = pipeline_.spill_dir;
-  options.name = pipeline_.connection_id + ".p" +
-                 std::to_string(ctx->partition());
+  const SubscriberOptions options =
+      InputOptions(pipeline_, ctx->partition());
 
   // Resume any state handed off by a predecessor instance (recovery):
   // oldest first — the predecessor's unforwarded frames...
-  std::string state_key = pipeline_.connection_id + ":intake:" +
-                          std::to_string(ctx->partition());
+  const std::string state_key =
+      StateKey(pipeline_.connection_id, ctx->partition());
   for (FramePtr& frame : feed_manager_->TakeZombieState(state_key)) {
     held_.push_back(std::move(frame));
   }
-  // ...then its still-subscribed input buffer, adopted outright when the
+  // ...then the still-subscribed input buffer — the predecessor's, or the
+  // one Presubscribe attached at connect time — adopted outright when the
   // producing joint is unchanged (no delivery gap), or drained into the
   // held buffer when the head was itself rebuilt.
   auto handoff = feed_manager_->TakeIntakeHandoff(state_key);
@@ -271,8 +300,8 @@ Status FeedIntakeOperator::Run(TaskContext* ctx) {
           state.push_back(hyracks::MakeFrame(std::move(unacked)));
         }
       }
-      std::string state_key = pipeline_.connection_id + ":intake:" +
-                              std::to_string(partition);
+      const std::string state_key =
+          StateKey(pipeline_.connection_id, partition);
       feed_manager_->SaveZombieState(state_key, std::move(state));
       feed_manager_->SaveIntakeHandoff(state_key,
                                        {source_joint_, queue_});

@@ -87,8 +87,25 @@ class FeedIntakeOperator : public hyracks::Operator {
   static constexpr const char* kSignalForward = "forward";
   static constexpr const char* kSignalHandoff = "handoff";
 
+  /// Subscribes intake `partition`'s input queue to `joint` now, on the
+  /// caller's (control) thread, and parks it with `feed_manager` as the
+  /// intake handoff that Open adopts. Frames the joint routes before the
+  /// intake task opens are thereby buffered instead of missed. A handoff
+  /// a predecessor instance left under the same key wins; returns false
+  /// then (nothing subscribed).
+  static bool Presubscribe(FeedManager* feed_manager,
+                           const std::shared_ptr<FeedJoint>& joint,
+                           const PipelineConfig& pipeline, int partition);
+
+  /// Feed Manager key of an intake partition's handoff and zombie state.
+  static std::string StateKey(const std::string& connection_id,
+                              int partition);
+
  private:
   enum class Mode { kForward, kBuffer, kHandoff };
+
+  static SubscriberOptions InputOptions(const PipelineConfig& pipeline,
+                                        int partition);
 
   [[nodiscard]] common::Status ForwardFrame(const hyracks::FramePtr& frame,
                               hyracks::TaskContext* ctx);

@@ -78,7 +78,10 @@ void TweetGenServer::Start(double time_scale) {
   thread_ = std::thread([this, time_scale] { RunLoop(time_scale); });
 }
 
-void TweetGenServer::Stop() { stop_.store(true); }
+void TweetGenServer::Stop() {
+  stop_.store(true);
+  channel_.CloseSender();
+}
 
 void TweetGenServer::Join() {
   if (thread_.joinable()) thread_.join();
@@ -105,11 +108,13 @@ void TweetGenServer::RunLoop(double time_scale) {
         carry += tweets_per_tick;
         int64_t to_send = static_cast<int64_t>(carry);
         carry -= static_cast<double>(to_send);
-        for (int64_t i = 0; i < to_send; ++i) {
-          channel_.Send(factory_.NextTweetText());
+        int64_t accepted = 0;
+        while (accepted < to_send &&
+               channel_.Send(factory_.NextTweetText())) {
+          ++accepted;
         }
         // relaxed: stats counter; the records travel via channel_.
-        sent_.fetch_add(to_send, std::memory_order_relaxed);
+        sent_.fetch_add(accepted, std::memory_order_relaxed);
         common::SleepMillis(kTickMs);
       }
     }

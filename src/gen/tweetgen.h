@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "adm/value.h"
-#include "common/blocking_queue.h"
+#include "common/mpmc_queue.h"
 #include "common/rng.h"
 #include "gen/pattern.h"
 
@@ -19,24 +19,22 @@ namespace asterix {
 namespace gen {
 
 /// In-process stand-in for a socket between an external source and a feed
-/// adaptor. Push-based: the sender never blocks (the source keeps emitting
-/// at its regular rate irrespective of receiver state); the receiver pulls
-/// what has arrived.
+/// adaptor. Push-based: the source keeps emitting at its regular rate
+/// irrespective of receiver state; the receiver pulls what has arrived.
 class Channel {
  public:
-  /// Sender side. Never blocks; drops nothing (unbounded, like a socket
-  /// whose reader keeps up — back-pressure is modelled downstream).
-  void Send(std::string payload) { queue_.Push(std::move(payload)); }
+  /// Payloads buffered before Send parks: a socket buffer far deeper than
+  /// any backlog a running pipeline leaves behind.
+  static constexpr size_t kCapacity = size_t{1} << 16;
+
+  /// Sender side. Drops nothing; parks only while the channel is full,
+  /// like a writer on a full socket buffer. False (payload not accepted)
+  /// once the channel is closed.
+  bool Send(std::string payload) { return queue_.Push(std::move(payload)); }
 
   /// Receiver side: drains up to `max` pending payloads (non-blocking).
   std::vector<std::string> Drain(size_t max = SIZE_MAX) {
-    std::vector<std::string> out;
-    while (out.size() < max) {
-      auto item = queue_.TryPop();
-      if (!item.has_value()) break;
-      out.push_back(std::move(*item));
-    }
-    return out;
+    return queue_.PopAllBounded(max);
   }
 
   /// Receiver side: waits up to `timeout_ms` for one payload.
@@ -44,13 +42,14 @@ class Channel {
     return queue_.PopFor(std::chrono::milliseconds(timeout_ms));
   }
 
+  /// Rejects further sends (and wakes a parked sender); the receiver
+  /// still drains what is pending.
   void CloseSender() { queue_.Close(); }
   bool closed() const { return queue_.closed(); }
   size_t pending() const { return queue_.size(); }
 
  private:
-  common::BlockingQueue<std::string> queue_{SIZE_MAX,
-                                            common::LockRank::kTweetChannel};
+  common::MpmcQueue<std::string> queue_{kCapacity};
 };
 
 /// Synthesizes one tweet record per call. Deterministic per seed.
@@ -89,13 +88,15 @@ class TweetGenServer {
   /// durations (0.1 = run 10x faster than described).
   void Start(double time_scale = 1.0);
 
-  /// Stops early (the pattern also terminates naturally).
+  /// Stops early (the pattern also terminates naturally). Closes the
+  /// channel, so a Send parked on a full channel returns at once.
   void Stop();
 
   /// Blocks until the pattern completes or Stop() is called.
   void Join();
 
   Channel& channel() { return channel_; }
+  /// Payloads the channel accepted: exactly what a reader can drain.
   int64_t tweets_sent() const { return sent_.load(); }
   bool finished() const { return finished_.load(); }
 

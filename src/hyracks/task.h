@@ -101,8 +101,7 @@ class Task : public TaskContext,
   NodeController* node_;
   std::unique_ptr<Operator> op_;
   // Lock-free input ring: producers (routers) and the pump thread meet
-  // here without a mutex. The old BlockingQueue seam's kTaskQueue rank is
-  // retired on this path — the ring has nothing to rank (see
+  // here without a mutex, so the seam carries no lock rank (see
   // common/mpmc_queue.h "Rank exemption").
   common::MpmcQueue<FrameMessage> input_;
   // Unprocessed tail of the in-flight pop batch when the task is killed

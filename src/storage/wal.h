@@ -41,7 +41,8 @@ class Wal {
   /// Flushes buffered entries to the OS.
   [[nodiscard]] common::Status Sync();
 
-  /// Replays all entries in append order. Used by node-rejoin recovery.
+  /// Replays all entries in append order. Nothing calls it yet: restart
+  /// recovery from the log is still to be built (ROADMAP item 4).
   [[nodiscard]] common::Status Replay(
       const std::function<void(const std::string&)>& consumer) const;
 

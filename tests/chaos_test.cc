@@ -203,7 +203,7 @@ TEST_F(ChaosTest, SilencedHeartbeatsTriggerSubstitution) {
   std::string intake_node = pre->intake_locations[0];
   ASSERT_TRUE(db_->DisconnectFeed("Feed", "Sink").ok());
   feeds::ConnectOptions copts;
-  for (const std::string& node : {"A", "B", "C", "D"}) {
+  for (const char* node : {"A", "B", "C", "D"}) {
     if (node != intake_node && copts.compute_locations.empty()) {
       copts.compute_locations.push_back(node);
     }

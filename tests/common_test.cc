@@ -6,13 +6,11 @@
 #include <gtest/gtest.h>
 
 #include "common/atomic_shim.h"
-#include "common/blocking_queue.h"
 #include "common/clock.h"
 #include "common/failpoint.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "common/strings.h"
-#include "testing_util.h"
 
 namespace asterix {
 namespace common {
@@ -123,140 +121,6 @@ TEST(StringsTest, JoinRoundTripsSplit) {
 TEST(StringsTest, Fnv1aIsStableAndSpread) {
   EXPECT_EQ(Fnv1a("abc"), Fnv1a("abc"));
   EXPECT_NE(Fnv1a("abc"), Fnv1a("abd"));
-}
-
-TEST(BlockingQueueTest, FifoOrder) {
-  BlockingQueue<int> q;
-  q.Push(1);
-  q.Push(2);
-  q.Push(3);
-  EXPECT_EQ(q.Pop().value(), 1);
-  EXPECT_EQ(q.Pop().value(), 2);
-  EXPECT_EQ(q.Pop().value(), 3);
-}
-
-TEST(BlockingQueueTest, TryPushRespectsCapacity) {
-  BlockingQueue<int> q(2);
-  EXPECT_TRUE(q.TryPush(1));
-  EXPECT_TRUE(q.TryPush(2));
-  EXPECT_FALSE(q.TryPush(3));  // full: this is the Discard-policy hook
-  EXPECT_EQ(q.size(), 2u);
-}
-
-TEST(BlockingQueueTest, CloseDrainsThenStops) {
-  BlockingQueue<int> q;
-  q.Push(1);
-  q.Close();
-  EXPECT_FALSE(q.Push(2));
-  EXPECT_EQ(q.Pop().value(), 1);
-  EXPECT_FALSE(q.Pop().has_value());
-}
-
-TEST(BlockingQueueTest, PushBlocksUntilSpace) {
-  BlockingQueue<int> q(1);
-  q.Push(1);
-  std::atomic<bool> pushed{false};
-  std::thread t([&] {
-    q.Push(2);
-    pushed.store(true);
-  });
-  EXPECT_TRUE(::asterix::testing::StaysFalseFor(
-      [&] { return pushed.load(); }, 20));  // back-pressure in action
-  q.Pop();
-  t.join();
-  EXPECT_TRUE(pushed.load());
-}
-
-TEST(BlockingQueueTest, PopForTimesOut) {
-  BlockingQueue<int> q;
-  auto item = q.PopFor(std::chrono::milliseconds(10));
-  EXPECT_FALSE(item.has_value());
-}
-
-TEST(BlockingQueueTest, PopAllDrainsEverythingInOrder) {
-  BlockingQueue<int> q;
-  for (int i = 0; i < 5; ++i) q.Push(i);
-  auto batch = q.PopAll();
-  ASSERT_EQ(batch.size(), 5u);
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(batch[static_cast<size_t>(i)], i);
-  EXPECT_EQ(q.size(), 0u);
-}
-
-TEST(BlockingQueueTest, PopAllBlocksUntilItemArrives) {
-  BlockingQueue<int> q;
-  auto producer = ::asterix::testing::After(20, [&] { q.Push(42); });
-  auto batch = q.PopAll();  // blocks until the producer delivers
-  producer.join();
-  ASSERT_EQ(batch.size(), 1u);
-  EXPECT_EQ(batch[0], 42);
-}
-
-TEST(BlockingQueueTest, PopAllCloseAndDrainSemantics) {
-  BlockingQueue<int> q;
-  q.Push(1);
-  q.Push(2);
-  q.Close();
-  auto batch = q.PopAll();  // close drains the remaining items first
-  ASSERT_EQ(batch.size(), 2u);
-  EXPECT_EQ(batch[0], 1);
-  EXPECT_EQ(batch[1], 2);
-  EXPECT_TRUE(q.PopAll().empty());  // closed and drained
-  EXPECT_TRUE(q.TryPopAll().empty());
-}
-
-TEST(BlockingQueueTest, PopAllForTimesOut) {
-  BlockingQueue<int> q;
-  EXPECT_TRUE(q.PopAllFor(std::chrono::milliseconds(10)).empty());
-  q.Push(7);
-  auto batch = q.PopAllFor(std::chrono::milliseconds(10));
-  ASSERT_EQ(batch.size(), 1u);
-  EXPECT_EQ(batch[0], 7);
-}
-
-TEST(BlockingQueueTest, PopAllReleasesBlockedProducers) {
-  BlockingQueue<int> q(2);
-  q.Push(1);
-  q.Push(2);
-  std::atomic<bool> pushed{false};
-  std::thread producer([&] {
-    q.Push(3);  // blocks: queue is full
-    pushed.store(true);
-  });
-  EXPECT_TRUE(::asterix::testing::StaysFalseFor(
-      [&] { return pushed.load(); }, 20));
-  auto batch = q.PopAll();  // one drain frees all waiting producers
-  EXPECT_GE(batch.size(), 2u);
-  producer.join();
-  EXPECT_TRUE(pushed.load());
-}
-
-TEST(BlockingQueueTest, ConcurrentProducersConsumers) {
-  BlockingQueue<int> q(16);
-  constexpr int kPerProducer = 500;
-  constexpr int kProducers = 4;
-  std::atomic<int64_t> sum{0};
-  std::atomic<int> popped{0};
-  std::vector<std::thread> threads;
-  for (int p = 0; p < kProducers; ++p) {
-    threads.emplace_back([&q] {
-      for (int i = 1; i <= kPerProducer; ++i) q.Push(i);
-    });
-  }
-  for (int c = 0; c < 3; ++c) {
-    threads.emplace_back([&] {
-      while (popped.load() < kProducers * kPerProducer) {
-        auto v = q.PopFor(std::chrono::milliseconds(50));
-        if (v.has_value()) {
-          sum.fetch_add(*v);
-          popped.fetch_add(1);
-        }
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  int64_t expected =
-      static_cast<int64_t>(kProducers) * kPerProducer * (kPerProducer + 1) / 2;
-  EXPECT_EQ(sum.load(), expected);
 }
 
 // --- FailPoint registry -----------------------------------------------------

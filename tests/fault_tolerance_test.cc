@@ -5,6 +5,7 @@
 
 #include "asterix/asterix.h"
 #include "common/clock.h"
+#include "common/failpoint.h"
 #include "feeds/udf.h"
 #include "gen/tweetgen.h"
 #include "testing_util.h"
@@ -72,7 +73,7 @@ TEST_F(FaultToleranceTest, ComputeNodeFailureRecovers) {
   ASSERT_TRUE(pre.ok());
   std::string intake_node = pre->intake_locations[0];
   ASSERT_TRUE(db_->DisconnectFeed("Feed", "Sink").ok());
-  for (const std::string& node : {"A", "B", "C", "D"}) {
+  for (const char* node : {"A", "B", "C", "D"}) {
     if (node != intake_node && copts.compute_locations.size() < 2) {
       copts.compute_locations.push_back(node);
     }
@@ -222,7 +223,7 @@ TEST_F(FaultToleranceTest, FaultIsolationInCascade) {
   auto raw = db_->feed_manager().GetConnection("Feed", "Raw");
   ASSERT_TRUE(raw.ok());
   std::string cooked_compute;
-  for (const std::string& node : {"A", "B", "C", "D"}) {
+  for (const char* node : {"A", "B", "C", "D"}) {
     if (node != raw->intake_locations[0]) {
       cooked_compute = node;
       break;
@@ -349,6 +350,72 @@ TEST_F(FaultToleranceTest, PartialDisconnectKeepsDependentsFlowing) {
   EXPECT_LT(mid_final, sent);
   EXPECT_GE(mid_final, mid_at_disconnect);
   feeds::ExternalSourceRegistry::Instance().UnregisterChannel("ft:7");
+}
+
+// ConnectFeed returns before the tail job's intake tasks have opened.
+// Frames routed through a source joint in that window must still reach
+// the new connection: the intake queues are subscribed at connect time,
+// not when the intake task opens. The dependent's intake is slowed so
+// the parent's first frames pass the shared joint before it opens.
+TEST_F(FaultToleranceTest, SlowIntakeOpenLosesNoCascadeRecords) {
+  if (!common::kFailPointsCompiledIn) {
+    GTEST_SKIP() << "built with ASTERIX_FAILPOINTS=OFF";
+  }
+  struct DisarmOnExit {
+    ~DisarmOnExit() { common::FailPointRegistry::Instance().DisarmAll(); }
+  } disarm;
+  common::FailPointRegistry::Instance().Arm(
+      "feeds.intake.open",
+      common::FailPointPolicy::Delay(300).OnInstance("SameFeed->Deep"));
+
+  auto& source = NewSource(0, gen::Pattern::Constant(1200, 1000));
+  feeds::ExternalSourceRegistry::Instance().RegisterChannel(
+      "ft:9", &source.channel());
+  ASSERT_TRUE(db_->CreateDataset(TweetsDataset("Mid", {"E"})).ok());
+  ASSERT_TRUE(db_->CreateDataset(TweetsDataset("Deep", {"F"})).ok());
+  ASSERT_TRUE(db_->InstallUdf(feeds::AqlUdf::ExtractHashtags("tags")).ok());
+  ASSERT_TRUE(db_->InstallUdf(std::make_shared<feeds::JavaUdf>(
+                      "lib", "same",
+                      [](const Value& record) -> std::optional<Value> {
+                        return record;
+                      }))
+                  .ok());
+  feeds::FeedDef primary;
+  primary.name = "Feed";
+  primary.adaptor_alias = "socket_adaptor";
+  primary.adaptor_config = {{"sockets", "ft:9"}};
+  primary.udf = "tags";
+  ASSERT_TRUE(db_->CreateFeed(primary).ok());
+  feeds::FeedDef secondary;
+  secondary.name = "SameFeed";
+  secondary.is_primary = false;
+  secondary.parent_feed = "Feed";
+  secondary.udf = "lib#same";
+  ASSERT_TRUE(db_->CreateFeed(secondary).ok());
+
+  ASSERT_TRUE(
+      db_->ConnectFeed("Feed", "Mid", "Basic", {.compute_count = 1}).ok());
+  ASSERT_TRUE(
+      db_->ConnectFeed("SameFeed", "Deep", "Basic", {.compute_count = 1})
+          .ok());
+  auto deep = db_->feed_manager().GetConnection("SameFeed", "Deep");
+  ASSERT_TRUE(deep.ok());
+  EXPECT_EQ(deep->source_joint, "Feed:tags");
+
+  // Records flow at once, while both intakes are still opening.
+  source.Start();
+  source.Join();
+  const int64_t sent = source.tweets_sent();
+  ASSERT_GT(sent, 0);
+  ASSERT_TRUE(WaitFor(
+      [&] {
+        return db_->CountDataset("Mid").value() == sent &&
+               db_->CountDataset("Deep").value() == sent;
+      },
+      20000))
+      << "sent=" << sent << " mid=" << db_->CountDataset("Mid").value()
+      << " deep=" << db_->CountDataset("Deep").value();
+  feeds::ExternalSourceRegistry::Instance().UnregisterChannel("ft:9");
 }
 
 TEST_F(FaultToleranceTest, AtLeastOnceReplaysGroupAcks) {

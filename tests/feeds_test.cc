@@ -2,6 +2,7 @@
 // Buckets, the policy-enforcing subscriber queues, ack machinery,
 // adaptors and the feed catalog.
 #include <filesystem>
+#include <future>
 #include <set>
 #include <thread>
 
@@ -568,6 +569,57 @@ TEST(TweetGenTest, ServerFollowsPatternApproximately) {
   EXPECT_GE(server.tweets_sent(), 400);
   EXPECT_LE(server.tweets_sent(), 600);
   EXPECT_EQ(server.channel().pending(), server.tweets_sent());
+}
+
+TEST(ChannelTest, DrainHonoursMaxInFifoOrder) {
+  gen::Channel channel;
+  for (int i = 0; i < 5; ++i) ASSERT_TRUE(channel.Send(std::to_string(i)));
+  EXPECT_EQ(channel.Drain(2), (std::vector<std::string>{"0", "1"}));
+  EXPECT_EQ(channel.Drain(), (std::vector<std::string>{"2", "3", "4"}));
+  EXPECT_TRUE(channel.Drain().empty());
+}
+
+TEST(ChannelTest, ReceiveTimesOutThenDelivers) {
+  gen::Channel channel;
+  common::Stopwatch watch;
+  EXPECT_FALSE(channel.Receive(20).has_value());
+  EXPECT_GE(watch.ElapsedMillis(), 20);
+  ASSERT_TRUE(channel.Send("x"));
+  EXPECT_EQ(channel.Receive(20).value_or(""), "x");
+}
+
+TEST(ChannelTest, CloseSenderRejectsSendsAndDrainsToEnd) {
+  gen::Channel channel;
+  ASSERT_TRUE(channel.Send("a"));
+  channel.CloseSender();
+  EXPECT_FALSE(channel.Send("b"));
+  EXPECT_TRUE(channel.closed());
+  EXPECT_EQ(channel.pending(), 1u);
+  EXPECT_EQ(channel.Drain(), std::vector<std::string>{"a"});
+  // The adaptors' end-of-source condition.
+  EXPECT_TRUE(channel.closed() && channel.pending() == 0);
+}
+
+TEST(ChannelTest, StopReleasesSendParkedOnFullChannel) {
+  // 100k tweets per 10 ms tick: the first tick fills the channel and the
+  // source parks in Send with no reader.
+  gen::TweetGenServer server(0, gen::Pattern::Constant(10'000'000, 60'000));
+  server.Start();
+  ASSERT_TRUE(asterix::testing::WaitFor(
+      [&] { return server.channel().pending() == gen::Channel::kCapacity; },
+      60'000));
+  auto stopped = std::async(std::launch::async, [&] {
+    server.Stop();
+    server.Join();
+  });
+  const bool returned =
+      stopped.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  // Unpark a stuck sender so a failure reports instead of hanging.
+  if (!returned) (void)server.channel().Drain();
+  stopped.wait();
+  EXPECT_TRUE(returned);
+  EXPECT_EQ(server.tweets_sent(),
+            static_cast<int64_t>(gen::Channel::kCapacity));
 }
 
 // --- catalog ---------------------------------------------------------------

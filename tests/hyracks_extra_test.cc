@@ -8,8 +8,8 @@
 
 #include <gtest/gtest.h>
 
-#include "common/blocking_queue.h"
 #include "common/clock.h"
+#include "common/mpmc_queue.h"
 #include "hyracks/cluster.h"
 #include "hyracks/operators.h"
 
@@ -228,9 +228,9 @@ TEST_F(EngineFixture, FreezeAndDrainConservesFramesUnderConcurrentProducers) {
 
 // The same conservation law at the queue level: PopAllFor racing TryPush
 // from several producers, with a Close cutting in. accepted == drained.
-TEST(BlockingQueueRaceTest, PopAllForAndCloseConserveItems) {
+TEST(MpmcQueueRaceTest, PopAllForAndCloseConserveItems) {
   for (int round = 0; round < 30; ++round) {
-    common::BlockingQueue<int> queue(16);
+    common::MpmcQueue<int> queue(16);
     std::atomic<int64_t> accepted{0};
     std::atomic<bool> stop{false};
     std::vector<std::thread> producers;
@@ -246,9 +246,10 @@ TEST(BlockingQueueRaceTest, PopAllForAndCloseConserveItems) {
       drained += static_cast<int64_t>(
           queue.PopAllFor(std::chrono::milliseconds(1)).size());
     }
-    queue.Close();  // from here every TryPush must be rejected
+    queue.Close();  // a TryPush already past its closed() check may land
     stop.store(true);
     for (auto& producer : producers) producer.join();
+    EXPECT_FALSE(queue.TryPush(1));
     drained += static_cast<int64_t>(queue.TryPopAll().size());
     EXPECT_EQ(drained, accepted.load()) << "round " << round;
   }

@@ -140,7 +140,9 @@ TEST_F(IntegrationTest, CascadeSharesHeadSection) {
   const int64_t sent = source.tweets_sent();
   // Wall-clock rate bound: meaningless under TSan's slowdown (the
   // conservation checks below are the real assertions there).
-  if (!asterix::testing::kTsanActive) ASSERT_GT(sent, 2000);
+  if (!asterix::testing::kTsanActive) {
+    ASSERT_GT(sent, 2000);
+  }
   ASSERT_GT(sent, 0);
   ASSERT_TRUE(WaitFor(
       [&] {

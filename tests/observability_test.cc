@@ -360,7 +360,7 @@ TEST(ObservabilityE2ETest, CascadeLatencyHistogramsAndSpanConservation) {
 
   // Per-stage histograms: every primary stage of this cascade recorded.
   int populated = 0;
-  for (const std::string& stage :
+  for (const char* stage :
        {"source", "queue", "intake", "assign0", "store"}) {
     const HistogramSnapshot* h =
         snap.Histogram("feed_stage_latency_us", {{"stage", stage}});

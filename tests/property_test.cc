@@ -148,7 +148,9 @@ TEST_P(PartitionedScanTest, ScanMergesPartitionsInGlobalKeyOrder) {
     bool first = true;
     auto it = model.begin();
     index.Scan([&](const std::string& key, const Value& value) {
-      if (!first) EXPECT_LT(prev, key);
+      if (!first) {
+        EXPECT_LT(prev, key);
+      }
       prev = key;
       first = false;
       ASSERT_NE(it, model.end());

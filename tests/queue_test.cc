@@ -1,7 +1,7 @@
 // Property and stress tests for the lock-free data-plane queues
 // (common/mpmc_queue.h): conservation under multi-writer/multi-reader
 // load, capacity backpressure, OverwriteQueue displacement accounting,
-// batch-API semantics parity with BlockingQueue, and parking behaviour.
+// batch-API semantics, and parking behaviour.
 // The whole file runs under the tsan-chaos preset (see CMakePresets.json)
 // so every interleaving claim here is also a ThreadSanitizer claim.
 #include <atomic>
@@ -14,7 +14,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/blocking_queue.h"
 #include "common/clock.h"
 #include "common/mpmc_queue.h"
 #include "common/rng.h"
@@ -346,11 +345,10 @@ TEST(SnapshotPtr, ConcurrentLoadStoreYieldsConsistentSnapshots) {
   EXPECT_EQ(p.load()->a, 2000);
 }
 
-// Batching parity with BlockingQueue::PopAll: blocks while empty, drains
-// everything queued once data arrives, returns empty only when closed and
-// drained. Run against both queues through one templated body.
-template <typename Queue>
-void PopAllParityBody(Queue& q) {
+// Batched pop: PopAll blocks while empty, drains everything queued once
+// data arrives, and returns empty only when closed and drained.
+TEST(MpmcQueue, PopAllBlocksThenDrainsUntilClosed) {
+  MpmcQueue<int> q(64);
   std::thread later = testing::After(30, [&] {
     ASSERT_TRUE(q.Push(1));
     ASSERT_TRUE(q.Push(2));
@@ -364,16 +362,6 @@ void PopAllParityBody(Queue& q) {
   EXPECT_EQ(batch, (std::vector<int>{1, 2}));
   q.Close();
   EXPECT_TRUE(q.PopAll().empty());
-}
-
-TEST(QueueParity, PopAllBlockingQueue) {
-  common::BlockingQueue<int> q(64);
-  PopAllParityBody(q);
-}
-
-TEST(QueueParity, PopAllMpmcQueue) {
-  MpmcQueue<int> q(64);
-  PopAllParityBody(q);
 }
 
 // tsan soak: sustained mixed traffic (blocking pushes, batched pops,

@@ -50,7 +50,9 @@ TEST(KeyTest, DoubleOrderPreserved) {
   std::string prev;
   bool first = true;
   for (const auto& k : keys) {
-    if (!first) EXPECT_LE(prev, k);
+    if (!first) {
+      EXPECT_LE(prev, k);
+    }
     prev = k;
     first = false;
   }
@@ -122,7 +124,7 @@ TEST(WalTest, ReplayAfterCrashTruncationRecoversExactPrefix) {
   // occupies exactly 14 bytes, so cut points are easy to aim.
   constexpr uint64_t kRecordBytes = 14;
   auto payload = [](int i) {
-    char buf[16];
+    char buf[32];
     std::snprintf(buf, sizeof(buf), "entry-%04d", i);
     return std::string(buf);
   };
@@ -414,7 +416,9 @@ TEST(PartitionedLsmTest, RoutesAcrossPartitionsAndScansInOrder) {
   int64_t expected = 0;
   std::string prev_key;
   index.Scan([&](const std::string& key, const Value& v) {
-    if (!prev_key.empty()) EXPECT_LT(prev_key, key);
+    if (!prev_key.empty()) {
+      EXPECT_LT(prev_key, key);
+    }
     prev_key = key;
     EXPECT_EQ(v.AsInt64(), expected * 3);
     ++expected;
@@ -458,7 +462,9 @@ TEST(LsmConcurrencyTest, EightWritersWithConcurrentReaders) {
     while (!stop_readers.load()) {
       std::string prev;
       index.Scan([&](const std::string& key, const Value& v) {
-        if (!prev.empty()) EXPECT_LT(prev, key);
+        if (!prev.empty()) {
+          EXPECT_LT(prev, key);
+        }
         prev = key;
         int64_t raw = v.AsInt64();
         EXPECT_TRUE(raw == -1 || raw % 7 == 0);

@@ -3,20 +3,15 @@
 hot-path allocation, and AST-grade MEM-ORDER.
 
 Usage:
-  analyze.py [--root DIR] [--check NAME ...] [--json OUT]
-             [--frontend auto|tokens|clang] [files ...]
+  analyze.py [--root DIR] [--check NAME ...] [--json OUT] [files ...]
 
 With no file arguments, analyzes every .h/.cc under <root>/src plus the
 README rank table and tools/analyze/expected_lock_edges.txt lockstep.
 Explicit file arguments switch to fixture mode: no repo allowlists, no
 README/expected-edge cross-checks, roots overridable with --hot-root.
 
-Frontends:
-  tokens  self-contained token/structure frontend (cpplex.py + ir.py) —
-          always available, the pinned default.
-  clang   libclang via python3 clang.cindex over compile_commands.json
-          (pin: python3-clang-14 / libclang-14). Selected automatically
-          by `auto` when importable; falls back to tokens otherwise.
+The program facts come from a self-contained token/structure frontend
+(cpplex.py + ir.py) that needs nothing beyond Python.
 
 Exit status: 0 clean, 1 findings, 2 usage/environment error.
 """
@@ -76,26 +71,6 @@ def parse_expected_edges(path):
     return out
 
 
-def build_program(files, frontend):
-    if frontend in ("auto", "clang"):
-        try:
-            import clang_frontend
-            program = clang_frontend.load_program(files)
-            if program is not None:
-                return program, "clang"
-            if frontend == "clang":
-                print("analyze: clang frontend unavailable "
-                      "(python3-clang/libclang or compile_commands.json "
-                      "missing)", file=sys.stderr)
-                sys.exit(2)
-        except Exception as e:  # clang.cindex import/ABI failures
-            if frontend == "clang":
-                print(f"analyze: clang frontend failed: {e}",
-                      file=sys.stderr)
-                sys.exit(2)
-    return ir.load_program(files), "tokens"
-
-
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("files", nargs="*")
@@ -104,8 +79,6 @@ def main(argv=None):
                     help="run only the named check(s)")
     ap.add_argument("--json", default=None,
                     help="write edges/stats artifact to this path")
-    ap.add_argument("--frontend", default="auto",
-                    choices=("auto", "tokens", "clang"))
     ap.add_argument("--hot-root", action="append", default=None,
                     help="override hot-path roots (fixture mode)")
     ap.add_argument("--explain", action="store_true",
@@ -136,7 +109,7 @@ def main(argv=None):
         print(f"analyze: missing inputs: {missing}", file=sys.stderr)
         return 2
 
-    program, frontend = build_program(files, args.frontend)
+    program = ir.load_program(files)
 
     def rel(p):
         try:
@@ -175,7 +148,7 @@ def main(argv=None):
 
     selected = args.check or sorted(CHECKS)
     all_findings = []
-    all_stats = {"frontend": frontend, "files": len(files)}
+    all_stats = {"files": len(files)}
     for name in selected:
         findings, stats = CHECKS[name](program, opts)
         all_findings.extend(findings)
@@ -195,7 +168,7 @@ def main(argv=None):
     for f in all_findings:
         print(f.render(rel))
     n = all_stats.get("lock-graph", {})
-    print(f"analyze[{frontend}]: {len(files)} files, "
+    print(f"analyze: {len(files)} files, "
           f"{len(all_findings)} finding(s)"
           + (f", {len(n.get('edges', []))} lock edge(s)" if n else ""),
           file=sys.stderr)

@@ -25,13 +25,6 @@ UNACQUIRED_RANK_ALLOWLIST = {
                  "lint, used only by tests/examples",
 }
 
-# Mutexes whose rank is injected through a constructor parameter. The
-# static graph widens them to every rank observed at a construction site
-# (plus the declared default) — a sound over-approximation.
-CTOR_INJECTED_DEFAULTS = {
-    "BlockingQueue::mutex_": "kBlockingQueue",
-}
-
 # --------------------------------------------------------------------------
 # Check 2 — blocking-under-lock
 # --------------------------------------------------------------------------
@@ -42,7 +35,7 @@ CTOR_INJECTED_DEFAULTS = {
 BLOCKING_OPS = {
     "Wait", "WaitFor", "WaitUntil",            # CondVar / EventCount
     "ReserveFor",                               # MemPool parking reserve
-    "PopFor", "PopAllFor", "PushFor",           # BlockingQueue timed ops
+    "PopFor", "PopAllFor",                      # queue timed pops
     "sleep_for", "sleep_until", "SleepMillis", "SleepMicros",
     "join",                                     # thread join
     "fopen", "fclose", "fread", "fwrite", "fseek", "ftell", "fflush",
@@ -200,7 +193,7 @@ SELF_SYNC_TYPES = (
     "std::atomic", "common::Mutex", "common::SharedMutex", "common::CondVar",
     "Mutex", "CondVar", "std::thread", "std::jthread", "MetricsRegistry",
     "common::Counter", "common::Gauge", "common::Histogram",
-    "Counter", "Gauge", "Histogram", "BlockingQueue", "common::BlockingQueue",
-    "MpmcQueue", "common::MpmcQueue", "OverwriteQueue",
+    "Counter", "Gauge", "Histogram", "MpmcQueue", "common::MpmcQueue",
+    "OverwriteQueue",
     "common::OverwriteQueue", "EventCount", "common::EventCount",
 )

@@ -11,11 +11,8 @@ Turns lexed C++ (cpplex.py) into the program facts every check consumes:
   * A call-graph resolver (receiver-field typing > same-class > unique
     name), used by the held-set propagation and reachability passes
 
-The extraction is frontend-pluggable: this module is the token frontend
-(always available — it needs nothing beyond Python); clang_frontend.py
-produces the same Program shape from libclang when python3-clang is
-installed. Known over/under-approximations are documented in
-DESIGN.md §6.4 — the checks are tuned so the over-approximations land
+The extraction is token-based and needs nothing beyond Python. Known
+over/under-approximations are documented in DESIGN.md §6.4 — the checks are tuned so the over-approximations land
 on the sound side for lock ordering and the allowlists absorb the rest.
 """
 
@@ -117,8 +114,7 @@ class MutexDecl:
     cls: str            # "" => namespace scope
     name: str
     kind: str           # "Mutex" | "SharedMutex"
-    rank: str           # "kSubscriberQueue" | "" (ctor-injected)
-    injected: bool      # LOCK-RANK: comment present
+    rank: str           # "kSubscriberQueue" | "" (unranked)
     file: str
     line: int
 
@@ -430,12 +426,10 @@ def _parse_field_segment(seg, cls, fname, comments_by_line):
             after = init.split("LockRank")[-1]
             rank = after.strip(":").split(",")[0].split(")")[0] \
                 .split("}")[0].strip(": ")
-        injected = any("LOCK-RANK:" in c
-                       for c in comments_by_line.get(line, []))
         return MutexDecl(cls=cls, name=name,
                          kind="SharedMutex" if "Shared" in base_type
                          else "Mutex",
-                         rank=rank, injected=injected, file=fname, line=line)
+                         rank=rank, file=fname, line=line)
 
     if init_start is not None and stripped[init_start].text == "(" :
         return None  # method prototype

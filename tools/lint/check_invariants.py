@@ -22,9 +22,7 @@ Checks, each with a stable ID used in failure output:
               and the deadlock detector (which cannot instrument itself),
               so every lock is an annotated common::Mutex
   LOCK-RANK   every common::Mutex/SharedMutex construction in src/ names
-              a LockRank in its brace initializer, or carries a
-              `LOCK-RANK:` comment naming where the rank is injected
-              (constructor-parameterised locks like BlockingQueue's)
+              a LockRank in its brace initializer
   RANK-README the README "Lock ranking" table lists exactly the ranks in
               src/common/lock_rank.h, with matching numeric values (same
               mechanism as the failpoint-site table)
@@ -263,8 +261,7 @@ class Linter:
     # --- lock ranks ---------------------------------------------------------
     def check_lock_ranks(self):
         """Every Mutex/SharedMutex construction in src/ must name its
-        LockRank inline, or carry a `LOCK-RANK:` comment pointing at the
-        constructor that injects it."""
+        LockRank inline."""
         for path in sorted((self.root / "src").rglob("*")):
             if path.suffix not in (".h", ".cc"):
                 continue
@@ -277,14 +274,10 @@ class Linter:
                 if "LockRank" in init:
                     continue
                 line_no = text.count("\n", 0, m.start()) + 1
-                decl_line = text.splitlines()[line_no - 1]
-                if "LOCK-RANK:" in decl_line:
-                    continue  # rank injected via constructor parameter
                 self.fail(
                     "LOCK-RANK", f"{self.rel(path)}:{line_no}",
                     f"mutex '{m.group(1)}' constructed without a LockRank "
-                    "(brace-initialize with common::LockRank::k..., or add "
-                    "a `LOCK-RANK:` comment naming the injecting ctor)")
+                    "(brace-initialize with common::LockRank::k...)")
 
         # README rank table <-> enum lockstep.
         enum = {}
