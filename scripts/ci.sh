@@ -5,22 +5,24 @@
 # Stages:
 #   default     cmake --preset default, build, full ctest
 #   analyze     Clang -Wthread-safety -Werror build + compile_fail negative
-#               tests (SKIP when clang++ is not installed)
-#   analyze-ast whole-program static analyzer (tools/analyze): lock graph,
-#               blocking-under-lock, hot-path allocation, MEM-ORDER, plus
-#               its fixture self-tests. Pure Python (built-in token
-#               frontend), so it only SKIPs when python3 itself is
-#               missing
+#               tests of guarded access (SKIP when clang++ is not
+#               installed)
+#   analyze-ast whole-program static analyzer (tools/analyze): GUARDED-BY
+#               coverage, blocking-under-lock, hot-path allocation,
+#               MEM-ORDER, plus its fixture self-tests. Pure Python
+#               (built-in token frontend), so it only SKIPs when python3
+#               itself is missing
 #   asan-ubsan  AddressSanitizer+UBSan build, full ctest (includes the
 #               `sanitizer`-labeled chaos soak)
 #   tsan-chaos  ThreadSanitizer build, concurrency-heavy suites
 #   deadlock    runtime lock-order checker ON (ASTERIX_DEADLOCK_DETECTOR),
-#               detector unit tests + chaos/sanitizer-labeled suites
+#               full ctest: the one enforcer of the lock-rank order
 #   modelcheck  deterministic model checker (ASTERIX_MODEL_CHECK_TESTS):
 #               litmus/invariant suite + seeded-bug regressions
 #   clang-tidy  curated .clang-tidy baseline over src/ (SKIP when
 #               clang-tidy is not installed)
-#   lint        tools/lint/check_invariants.py
+#   lint        tools/lint/check_invariants.py (every mutex names a rank,
+#               every rank is used, rank table in lockstep with the enum)
 #
 # Usage: scripts/ci.sh [stage ...]     (default: all stages)
 #   JOBS=N scripts/ci.sh               parallelism (default: nproc)

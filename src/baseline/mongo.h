@@ -65,8 +65,7 @@ class MongoCollection {
   common::Mutex write_lock_{common::LockRank::kMongoWriteLock};
   storage::Wal journal_;
 
-  mutable common::Mutex mutex_ ACQUIRED_AFTER(write_lock_){
-      common::LockRank::kMongoCollection};
+  mutable common::Mutex mutex_{common::LockRank::kMongoCollection};
   std::map<std::string, adm::Value> documents_ GUARDED_BY(mutex_);
   std::vector<std::string> unjournaled_ GUARDED_BY(mutex_);  // pending
                                                   // background journal

@@ -17,16 +17,16 @@
 // (joint -> subscriber queue -> bucket pool; ack collector -> ack bus /
 // pending tracker; metrics provider callbacks -> pipeline objects).
 //
-// Three enforcement mechanisms consume this enum:
-//   * the debug runtime checker (common/deadlock_detector.h, compiled in
-//     under ASTERIX_DEADLOCK_DETECTOR) aborts with a witness report on any
-//     acquisition that does not strictly descend the hierarchy;
-//   * Clang Thread Safety Analysis ACQUIRED_BEFORE/ACQUIRED_AFTER
-//     annotations (the `analyze` preset adds -Wthread-safety-beta) check
-//     the declared intra-class orderings at compile time;
-//   * tools/lint/check_invariants.py (LOCK-RANK / RANK-README) requires
-//     every Mutex/SharedMutex construction in src/ to name a rank and
-//     keeps the README rank table in lockstep with this enum.
+// Two mechanisms enforce this enum:
+//   * the runtime checker (common/deadlock_detector.h, compiled in under
+//     ASTERIX_DEADLOCK_DETECTOR; `ctest --preset deadlock` runs every
+//     test under it) aborts with a witness report on any acquisition that
+//     does not strictly descend the hierarchy. It is the one enforcer of
+//     the order itself;
+//   * tools/lint/check_invariants.py requires every Mutex/SharedMutex
+//     construction in src/ to name a rank (LOCK-RANK), every rank but
+//     kUnranked to be some mutex's rank (RANK-UNUSED), and the README
+//     rank table to match this enum (RANK-README).
 //
 // Adding a mutex? Pick the band of its layer, give it a value that
 // reflects where it sits in real acquisition chains (inner = lower), add

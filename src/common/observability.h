@@ -23,8 +23,8 @@
 //     while running the callbacks — which take object-level mutexes
 //     (ConnectionMetrics, subscriber queues) — so code holding those
 //     object locks must never call Snapshot()/Export()/List(), only the
-//     lock-free record calls on cached pointers. mutex_ is ACQUIRED_AFTER
-//     providers_mutex_ (the export paths nest them in that order).
+//     lock-free record calls on cached pointers. The export paths nest
+//     mutex_ inside providers_mutex_, which the ranks order.
 #pragma once
 
 #include <array>
@@ -207,8 +207,7 @@ class MetricsRegistry {
   /// still guarantees no further invocation after it returns.
   mutable common::Mutex providers_mutex_{common::LockRank::kMetricsProviders};
   /// Metric-map lock, a leaf: Get* may run under any pipeline/storage lock.
-  mutable common::Mutex mutex_ ACQUIRED_AFTER(providers_mutex_){
-      common::LockRank::kMetricsRegistry};
+  mutable common::Mutex mutex_{common::LockRank::kMetricsRegistry};
   // key -> metric; unique_ptr keeps addresses stable across rehash.
   std::map<std::string, std::unique_ptr<Counter>> counters_ GUARDED_BY(mutex_);
   std::map<std::string, std::unique_ptr<Gauge>> gauges_ GUARDED_BY(mutex_);

@@ -17,6 +17,16 @@ namespace feeds {
 using common::Status;
 using hyracks::FramePtr;
 
+namespace {
+
+// Capacity (frames, a power of two) of each subscriber's lock-free
+// hand-off ring. Purely mechanical: the byte budget in SubscriberOptions
+// is the policy bound; a full ring under budget falls back to the mutexed
+// overflow path (or, in Discard mode, newest-wins displacement).
+constexpr size_t kRingFrames = 4096;
+
+}  // namespace
+
 void DataBucket::Consume() {
   if (pending_.fetch_sub(1) == 1) {
     pool_->Return(this);
@@ -66,7 +76,7 @@ SubscriberQueue::SubscriberQueue(SubscriberOptions options, uint64_t seed)
                       ? options_.spill_pool
                       : common::MemGovernor::Default().GetPool(
                             common::MemGovernor::kSpillPool)),
-      ring_(options_.ring_frames),
+      ring_(kRingFrames),
       rng_(seed) {
   spill_path_ = options_.spill_dir + "/" + options_.name + "." +
                 std::to_string(common::NowMicros()) + ".spill";

@@ -86,11 +86,6 @@ struct SubscriberOptions {
   std::string spill_dir = "/tmp";
   /// Queue identity for spill file naming / logs.
   std::string name = "subscriber";
-  /// Capacity (frames, rounded up to a power of two) of the lock-free
-  /// hand-off ring. Purely mechanical: the byte budget above is the
-  /// policy bound; a full ring under budget falls back to the mutexed
-  /// overflow path (or, in Discard mode, newest-wins displacement).
-  size_t ring_frames = 4096;
   /// Governor pool charged for buffered frame bytes (the global bound
   /// over all subscribers, alongside the per-subscriber budget above).
   /// Null resolves to MemGovernor::Default()'s "frame_path" pool; a

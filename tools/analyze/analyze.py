@@ -1,14 +1,13 @@
 #!/usr/bin/env python3
-"""Whole-program static analyzer: lock graph, blocking-under-lock,
-hot-path allocation, and AST-grade MEM-ORDER.
+"""Whole-program static analyzer: GUARDED-BY coverage, blocking-under-
+lock, hot-path allocation, and AST-grade MEM-ORDER.
 
 Usage:
   analyze.py [--root DIR] [--check NAME ...] [--json OUT] [files ...]
 
-With no file arguments, analyzes every .h/.cc under <root>/src plus the
-README rank table and tools/analyze/expected_lock_edges.txt lockstep.
-Explicit file arguments switch to fixture mode: no repo allowlists, no
-README/expected-edge cross-checks, roots overridable with --hot-root.
+With no file arguments, analyzes every .h/.cc under <root>/src.
+Explicit file arguments switch to fixture mode: no repo allowlists,
+roots overridable with --hot-root.
 
 The program facts come from a self-contained token/structure frontend
 (cpplex.py + ir.py) that needs nothing beyond Python.
@@ -18,7 +17,6 @@ Exit status: 0 clean, 1 findings, 2 usage/environment error.
 
 import argparse
 import json
-import re
 import sys
 from pathlib import Path
 
@@ -28,7 +26,7 @@ import checks  # noqa: E402
 import ir      # noqa: E402
 
 CHECKS = {
-    "lock-graph": checks.check_lock_graph,
+    "guarded-by": checks.check_guarded_by,
     "blocking": checks.check_blocking,
     "hot-alloc": checks.check_hot_alloc,
     "mem-order": checks.check_mem_order,
@@ -44,33 +42,6 @@ def find_repo_root(start):
     return Path(start).resolve()
 
 
-def parse_readme_ranks(readme_path):
-    """{'kName': value} from the README rank table."""
-    out = {}
-    if not readme_path.exists():
-        return None
-    row = re.compile(r"^\|\s*`(k\w+)`\s*\|\s*(\d+)\s*\|")
-    for line in readme_path.read_text().splitlines():
-        m = row.match(line.strip())
-        if m:
-            out[m.group(1)] = int(m.group(2))
-    return out or None
-
-
-def parse_expected_edges(path):
-    out = set()
-    if not path.exists():
-        return None
-    for line in path.read_text().splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        m = re.match(r"(k\w+)\s*->\s*(k\w+)$", line)
-        if m:
-            out.add((m.group(1), m.group(2)))
-    return out
-
-
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("files", nargs="*")
@@ -78,21 +49,19 @@ def main(argv=None):
     ap.add_argument("--check", action="append", choices=sorted(CHECKS),
                     help="run only the named check(s)")
     ap.add_argument("--json", default=None,
-                    help="write edges/stats artifact to this path")
+                    help="write the checks' stats artifact to this path")
     ap.add_argument("--hot-root", action="append", default=None,
                     help="override hot-path roots (fixture mode)")
     ap.add_argument("--explain", action="store_true",
                     help="print every allowlist entry and its reason")
-    ap.add_argument("--list-edges", action="store_true",
-                    help="print the discovered lock edges and exit")
     args = ap.parse_args(argv)
 
     root = find_repo_root(args.root or Path(__file__).parent)
 
     if args.explain:
         import config
-        for table in ("UNACQUIRED_RANK_ALLOWLIST", "BLOCKING_ALLOWLIST",
-                      "HOT_PRUNE", "HOT_FILE_ALLOWLIST"):
+        for table in ("BLOCKING_ALLOWLIST", "HOT_PRUNE",
+                      "HOT_FILE_ALLOWLIST"):
             print(f"[{table}]")
             for k, v in getattr(config, table).items():
                 print(f"  {k}: {v}")
@@ -129,18 +98,7 @@ def main(argv=None):
         "rel": rel,
         "read_lines": read_lines,
         "allowlists": not fixture_mode,
-        "unused_ranks": not fixture_mode,
-        "rank_file": str(root / "src/common/lock_rank.h"),
-        "readme_path": str(root / "README.md"),
     }
-    if not fixture_mode:
-        opts["readme_ranks"] = parse_readme_ranks(root / "README.md")
-        edges_path = root / "tools/analyze/expected_lock_edges.txt"
-        opts["expected_edges"] = parse_expected_edges(edges_path)
-        opts["edges_path"] = str(edges_path)
-    else:
-        opts["readme_ranks"] = None
-        opts["expected_edges"] = None
     if args.hot_root:
         opts["hot_roots"] = args.hot_root
     elif fixture_mode:
@@ -155,11 +113,6 @@ def main(argv=None):
         if stats:
             all_stats[name] = stats
 
-    if args.list_edges:
-        for edge in all_stats.get("lock-graph", {}).get("edges", []):
-            print(edge)
-        return 0
-
     if args.json:
         Path(args.json).parent.mkdir(parents=True, exist_ok=True)
         Path(args.json).write_text(json.dumps(all_stats, indent=2) + "\n")
@@ -167,10 +120,7 @@ def main(argv=None):
     all_findings.sort(key=lambda f: (f.check, rel(f.file), f.line))
     for f in all_findings:
         print(f.render(rel))
-    n = all_stats.get("lock-graph", {})
-    print(f"analyze: {len(files)} files, "
-          f"{len(all_findings)} finding(s)"
-          + (f", {len(n.get('edges', []))} lock edge(s)" if n else ""),
+    print(f"analyze: {len(files)} files, {len(all_findings)} finding(s)",
           file=sys.stderr)
     return 1 if all_findings else 0
 

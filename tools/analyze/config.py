@@ -13,17 +13,17 @@ path for file-level entries.
 """
 
 # --------------------------------------------------------------------------
-# Check 1 — static lock graph
+# Check 1 — GUARDED-BY
 # --------------------------------------------------------------------------
 
-# Ranks that are legitimately never acquired by code under src/.
-UNACQUIRED_RANK_ALLOWLIST = {
-    "kTestRankLow": "deadlock_test-only seeded hierarchy (tests/, not src/)",
-    "kTestRankMid": "deadlock_test-only seeded hierarchy (tests/, not src/)",
-    "kTestRankHigh": "deadlock_test-only seeded hierarchy (tests/, not src/)",
-    "kUnranked": "explicit opt-out value; banned in src/ by the LOCK-RANK "
-                 "lint, used only by tests/examples",
-}
+SELF_SYNC_TYPES = (
+    "std::atomic", "common::Mutex", "common::SharedMutex", "common::CondVar",
+    "Mutex", "CondVar", "std::thread", "std::jthread", "MetricsRegistry",
+    "common::Counter", "common::Gauge", "common::Histogram",
+    "Counter", "Gauge", "Histogram", "MpmcQueue", "common::MpmcQueue",
+    "OverwriteQueue",
+    "common::OverwriteQueue", "EventCount", "common::EventCount",
+)
 
 # --------------------------------------------------------------------------
 # Check 2 — blocking-under-lock
@@ -51,9 +51,8 @@ BLOCKING_OPS = {
 BLOCKING_ALLOWLIST = {
     # The spill protocol serializes overflow entries to disk *under* the
     # subscriber mutex by design: spilling races Unsubscribe teardown, and
-    # the mutex is rank 420 — nothing above it is ever held on this path
-    # (the lock graph proves that). README "Spill-to-disk" documents the
-    # stall-the-producer trade-off.
+    # the mutex is rank 420 — nothing above it is ever held on this path.
+    # README "Spill-to-disk" documents the stall-the-producer trade-off.
     "SubscriberQueue::SpillLocked":
         "documented spill protocol: file append under the subscriber's own "
         "leaf-ward mutex; producer stall is the intended backpressure",
@@ -184,16 +183,3 @@ MEM_ORDER_FILE_ALLOWLIST = {
     "src/common/model_check.cc",
 }
 MEM_ORDER_LOOKBACK = 8
-
-# --------------------------------------------------------------------------
-# GUARDED-BY (AST sub-check of the lock graph)
-# --------------------------------------------------------------------------
-
-SELF_SYNC_TYPES = (
-    "std::atomic", "common::Mutex", "common::SharedMutex", "common::CondVar",
-    "Mutex", "CondVar", "std::thread", "std::jthread", "MetricsRegistry",
-    "common::Counter", "common::Gauge", "common::Histogram",
-    "Counter", "Gauge", "Histogram", "MpmcQueue", "common::MpmcQueue",
-    "OverwriteQueue",
-    "common::OverwriteQueue", "EventCount", "common::EventCount",
-)

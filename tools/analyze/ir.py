@@ -4,7 +4,7 @@ Turns lexed C++ (cpplex.py) into the program facts every check consumes:
 
   * Function definitions with qualified names and body token ranges
   * Class regions, field declarations (type + GUARDED_BY presence), and
-    Mutex/SharedMutex member declarations with their LockRank
+    Mutex/SharedMutex member declarations
   * Per-function events, in source order: lock acquisitions (RAII guards
     and explicit Lock/Unlock) with their held scopes, call sites with
     receiver hints, new-expressions, and memory_order argument tokens
@@ -12,8 +12,8 @@ Turns lexed C++ (cpplex.py) into the program facts every check consumes:
     name), used by the held-set propagation and reachability passes
 
 The extraction is token-based and needs nothing beyond Python. Known
-over/under-approximations are documented in DESIGN.md §6.4 — the checks are tuned so the over-approximations land
-on the sound side for lock ordering and the allowlists absorb the rest.
+over/under-approximations are documented in DESIGN.md §6.4; the
+allowlists in config.py absorb the over-approximations.
 """
 
 import bisect
@@ -30,7 +30,7 @@ ATTR_MACROS = {
     "RELEASE_GENERIC", "TRY_ACQUIRE", "TRY_ACQUIRE_SHARED", "EXCLUDES",
     "ASSERT_CAPABILITY", "ASSERT_SHARED_CAPABILITY", "RETURN_CAPABILITY",
     "NO_THREAD_SAFETY_ANALYSIS", "CAPABILITY", "SCOPED_CAPABILITY",
-    "ACQUIRED_BEFORE", "ACQUIRED_AFTER", "ASTERIX_TSA_ATTR",
+    "ASTERIX_TSA_ATTR",
     "alignas", "decltype", "noexcept", "static_assert", "__attribute__",
 }
 CONTROL_KEYWORDS = {
@@ -113,14 +113,8 @@ class FieldDecl:
 class MutexDecl:
     cls: str            # "" => namespace scope
     name: str
-    kind: str           # "Mutex" | "SharedMutex"
-    rank: str           # "kSubscriberQueue" | "" (unranked)
     file: str
     line: int
-
-    @property
-    def key(self):
-        return f"{self.cls or self.file}::{self.name}"
 
 
 @dataclass
@@ -130,7 +124,6 @@ class Program:
     fields: dict = field(default_factory=dict)      # cls -> [FieldDecl]
     mutexes: list = field(default_factory=list)     # [MutexDecl]
     classes: set = field(default_factory=set)       # class qnames
-    ranks: dict = field(default_factory=dict)       # kName -> int
     files: dict = field(default_factory=dict)       # path -> all tokens
 
     def add_function(self, fn):
@@ -418,18 +411,7 @@ def _parse_field_segment(seg, cls, fname, comments_by_line):
     base_type = type_str.replace("mutable ", "").strip()
     if base_type in ("Mutex", "common::Mutex", "SharedMutex",
                      "common::SharedMutex"):
-        init = ""
-        if init_start is not None:
-            init = "".join(t.text for t in stripped[init_start:])
-        rank = ""
-        if "LockRank" in init:
-            after = init.split("LockRank")[-1]
-            rank = after.strip(":").split(",")[0].split(")")[0] \
-                .split("}")[0].strip(": ")
-        return MutexDecl(cls=cls, name=name,
-                         kind="SharedMutex" if "Shared" in base_type
-                         else "Mutex",
-                         rank=rank, file=fname, line=line)
+        return MutexDecl(cls=cls, name=name, file=fname, line=line)
 
     if init_start is not None and stripped[init_start].text == "(" :
         return None  # method prototype
@@ -669,10 +651,7 @@ def parse_file(path, program, collect_functions=True):
                 scopes.append(("class", name))
                 program.classes.add(name)
             elif kind == "enum":
-                end = _match_brace(toks, i)
-                if head and any(x.text == "LockRank" for x in head):
-                    _parse_rank_enum(toks[i:end + 1], program)
-                i = end + 1
+                i = _match_brace(toks, i) + 1
                 seg_start = i
                 continue
             else:
@@ -710,16 +689,6 @@ def parse_file(path, program, collect_functions=True):
                 seg_start = i + 1
         i += 1
     return program
-
-
-def _parse_rank_enum(body, program):
-    for i, t in enumerate(body):
-        if t.kind == ID and t.text.startswith("k") and i + 2 < len(body) \
-                and body[i + 1].text == "=" and body[i + 2].kind == "num":
-            try:
-                program.ranks[t.text] = int(body[i + 2].text.rstrip("uUlL"))
-            except ValueError:
-                pass
 
 
 def load_program(paths):

@@ -7,11 +7,13 @@ Marker grammar (inside any comment in a fixture):
   EXPECT[CHECK-ID]@+N     ... on the line N below the marker
   ANALYZE-HOT-ROOT: Q     pass Q to analyze.py as --hot-root
 
-`*_bad.*` fixtures must produce exactly their marked findings (exit 1);
-`*_ok.*` fixtures must be clean (exit 0). The test therefore pins both
-directions: every seeded violation is detected at the right file:line,
-and the checks stay quiet on conforming code, so a frontend regression
-shows up here rather than as silent acceptance.
+Every analyzer check (`analyze.py --check NAME`) has a fixture pair,
+`NAME_bad.h` and `NAME_ok.h` (dashes as underscores), run through all
+checks. `*_bad.*` fixtures must produce exactly their marked findings
+(exit 1); `*_ok.*` fixtures must be clean (exit 0). The test therefore
+pins both directions: every seeded violation is detected at the right
+file:line, and the checks stay quiet on conforming code, so a frontend
+regression shows up here rather than as silent acceptance.
 
 Exit status: 0 all fixtures pass, 1 otherwise.
 """
@@ -23,6 +25,10 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 FIXTURES = HERE / "fixtures"
+
+sys.path.insert(0, str(HERE))
+
+import analyze  # noqa: E402
 
 EXPECT_RE = re.compile(r"EXPECT\[([A-Z-]+)\](?:@\+(\d+))?")
 HOT_ROOT_RE = re.compile(r"ANALYZE-HOT-ROOT:\s*(\S+)")
@@ -73,8 +79,12 @@ def run_fixture(path):
 
 def main():
     fixtures = sorted(FIXTURES.glob("*.h"))
-    if not fixtures:
-        print(f"no fixtures under {FIXTURES}", file=sys.stderr)
+    stems = [name.replace("-", "_") for name in sorted(analyze.CHECKS)]
+    missing = [f"{stem}_{kind}.h" for stem in stems for kind in ("bad", "ok")
+               if not (FIXTURES / f"{stem}_{kind}.h").exists()]
+    if missing:
+        print(f"missing fixtures under {FIXTURES}: {missing}",
+              file=sys.stderr)
         return 1
     failed = 0
     for path in fixtures:

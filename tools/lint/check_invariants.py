@@ -26,6 +26,9 @@ Checks, each with a stable ID used in failure output:
   RANK-README the README "Lock ranking" table lists exactly the ranks in
               src/common/lock_rank.h, with matching numeric values (same
               mechanism as the failpoint-site table)
+  RANK-UNUSED every LockRank enumerator except kUnranked is the rank of
+              some Mutex/SharedMutex constructed in src/ or tests/ (a
+              rank nothing acquires documents an order nothing checks)
   RANK-EXEMPT the lock-free data plane (src/common/mpmc_queue.h) is
               rank-exempt by design — the README "Data plane" section
               must exist and document the exemption, so the rank table's
@@ -75,12 +78,17 @@ RAW_SYNC_ALLOWLIST = {"thread_annotations.h", "deadlock_detector.h",
                       "deadlock_detector.cc", "model_check.h",
                       "model_check.cc"}
 
-# A Mutex/SharedMutex member or global declaration, with an optional TSA
-# ordering attribute and an optional brace initializer (which may span
-# lines — [^}] matches newlines inside a character class).
+# A Mutex/SharedMutex member or global declaration with an optional brace
+# initializer (which may span lines — [^}] matches newlines inside a
+# character class).
 MUTEX_DECL = re.compile(
     r"(?:mutable\s+)?(?:common::)?\b(?:Shared)?Mutex\s+(\w+)\s*"
-    r"(?:ACQUIRED_(?:BEFORE|AFTER)\([^)]*\)\s*)?(\{[^}]*\})?\s*;")
+    r"(\{[^}]*\})?\s*;")
+
+# The rank a Mutex/SharedMutex construction names, brace- or paren-
+# initialized (tests construct local mutexes with parentheses).
+RANKED_MUTEX = re.compile(
+    r"\b(?:Shared)?Mutex\s+\w+\s*[({]\s*(?:common::)?LockRank::(k\w+)")
 
 LOCK_RANK_ENTRY = re.compile(r"^\s*k(\w+)\s*=\s*(\d+),")
 
@@ -261,7 +269,8 @@ class Linter:
     # --- lock ranks ---------------------------------------------------------
     def check_lock_ranks(self):
         """Every Mutex/SharedMutex construction in src/ must name its
-        LockRank inline."""
+        LockRank inline (LOCK-RANK), the README table must match the enum
+        (RANK-README), and every rank must be some mutex's (RANK-UNUSED)."""
         for path in sorted((self.root / "src").rglob("*")):
             if path.suffix not in (".h", ".cc"):
                 continue
@@ -314,6 +323,18 @@ class Linter:
                 self.fail("RANK-README", "README.md",
                           f"rank '{name}' is {enum[name]} in lock_rank.h "
                           f"but {table[name]} in the README table")
+
+        # Every rank but the opt-out is some mutex's rank.
+        named = set()
+        for sub in ("src", "tests"):
+            for path in sorted((self.root / sub).rglob("*")):
+                if path.suffix in (".h", ".cc"):
+                    named.update(RANKED_MUTEX.findall(path.read_text()))
+        for name in sorted(set(enum) - named - {"kUnranked"}):
+            self.fail("RANK-UNUSED", "src/common/lock_rank.h",
+                      f"rank '{name}' is declared but no mutex in src/ or "
+                      "tests/ is constructed with it (delete the rank, or "
+                      "give it to the mutex it was meant for)")
 
     # --- memory pools --------------------------------------------------------
     def check_mem_pools(self):
