@@ -1,16 +1,12 @@
-// Microbenchmark for the data-plane queues: a mutex+condvar baseline
-// (MutexQueue, below) vs MpmcQueue (lock-free ring) vs OverwriteQueue
-// (lossy newest-wins),
-// across 1/2/4/8 producers and push batch sizes 1/16/64, one consumer
-// draining with the batched pop API. Throughput is items transferred per
-// second of wall time. Results go to BENCH_queue.json.
+// Microbenchmark for the data-plane queue: a mutex+condvar baseline
+// (MutexQueue, below) vs MpmcQueue (lock-free ring), across 1/2/4/8
+// producers and push batch sizes 1/16/64, one consumer draining with the
+// batched pop API. Throughput is items transferred per second of wall
+// time. Results go to BENCH_queue.json.
 //
 // Protocol notes:
 //  - Producers TryPush in a loop and, on a full queue, fall back to the
 //    blocking Push — the same shape as the task pump's writers.
-//  - OverwriteQueue producers never block (displacement); its "items/s"
-//    counts *delivered* items (pushed - dropped), so a slow consumer
-//    shows up as a lower delivered rate, not a fake-high push rate.
 //  - Single-core hosts: this measures hand-off efficiency (fewer
 //    syscalls/parks per item), not parallel scaling; the relative
 //    ordering is what the acceptance gate checks.
@@ -39,7 +35,6 @@ struct RunResult {
   int producers = 0;
   int batch = 0;
   int64_t delivered = 0;
-  int64_t dropped = 0;
   double seconds = 0;
   double items_per_sec() const {
     return seconds > 0 ? static_cast<double>(delivered) / seconds : 0;
@@ -110,7 +105,6 @@ struct MutexAdapter {
     }
   }
   void Close() { q.Close(); }
-  int64_t dropped() const { return 0; }
 };
 
 struct MpmcAdapter {
@@ -132,28 +126,6 @@ struct MpmcAdapter {
     }
   }
   void Close() { q.Close(); }
-  int64_t dropped() const { return 0; }
-};
-
-struct OverwriteAdapter {
-  static constexpr const char* kName = "OverwriteQueue";
-  common::OverwriteQueue<int64_t> q{kCapacity};
-  void ProducerPush(int64_t* items, int n) {
-    for (int i = 0; i < n; ++i) (void)q.Push(items[i]);
-  }
-  int64_t ConsumerDrainAll() {
-    int64_t n = 0;
-    for (;;) {
-      std::vector<int64_t> drained = q.TryPopAll();
-      n += static_cast<int64_t>(drained.size());
-      if (drained.empty()) {
-        if (q.closed()) return n + static_cast<int64_t>(q.TryPopAll().size());
-        common::SleepMicros(50);
-      }
-    }
-  }
-  void Close() { q.Close(); }
-  int64_t dropped() const { return q.dropped(); }
 };
 
 template <typename Adapter>
@@ -187,7 +159,6 @@ RunResult RunOne(int producers, int batch) {
   r.queue = Adapter::kName;
   r.producers = producers;
   r.batch = batch;
-  r.dropped = adapter.dropped();
   r.delivered = consumed;
   r.seconds = static_cast<double>(watch.ElapsedMicros()) / 1e6;
   return r;
@@ -212,17 +183,15 @@ int main() {
           RunOne<asterix::bench::MutexAdapter>(producers, batch));
       results.push_back(
           RunOne<asterix::bench::MpmcAdapter>(producers, batch));
-      results.push_back(
-          RunOne<asterix::bench::OverwriteAdapter>(producers, batch));
     }
   }
 
-  std::printf("\n%-16s %9s %6s %12s %10s %12s\n", "queue", "producers",
-              "batch", "delivered", "dropped", "items/s");
+  std::printf("\n%-16s %9s %6s %12s %12s\n", "queue", "producers",
+              "batch", "delivered", "items/s");
   for (const RunResult& r : results) {
-    std::printf("%-16s %9d %6d %12lld %10lld %12.0f\n", r.queue.c_str(),
+    std::printf("%-16s %9d %6d %12lld %12.0f\n", r.queue.c_str(),
                 r.producers, r.batch, static_cast<long long>(r.delivered),
-                static_cast<long long>(r.dropped), r.items_per_sec());
+                r.items_per_sec());
   }
 
   // The acceptance gate this bench exists for: at 4 producers the
@@ -250,11 +219,10 @@ int main() {
     const RunResult& r = results[i];
     std::fprintf(out,
                  "    {\"queue\": \"%s\", \"producers\": %d, \"batch\": %d,"
-                 " \"delivered\": %lld, \"dropped\": %lld,"
+                 " \"delivered\": %lld,"
                  " \"seconds\": %.6f, \"items_per_sec\": %.0f}%s\n",
                  r.queue.c_str(), r.producers, r.batch,
-                 static_cast<long long>(r.delivered),
-                 static_cast<long long>(r.dropped), r.seconds,
+                 static_cast<long long>(r.delivered), r.seconds,
                  r.items_per_sec(), i + 1 < results.size() ? "," : "");
   }
   std::fprintf(out,

@@ -105,14 +105,6 @@ inline void SpinWaitWhile(const Atomic<T>& a, T v) {
   }
 }
 
-/// Fairness point for spin-retry loops whose exit condition spans
-/// several locations (so SpinWaitWhile does not apply): a lap that made
-/// no progress cedes the core to the stalled peer it is waiting on. The
-/// model build keeps the thread off the schedule until another thread
-/// performs a write, so unfair schedules cannot report the loop as a
-/// livelock.
-inline void SpinYield() { std::this_thread::yield(); }
-
 // The pass-through proof: Atomic must be layout- and type-identical to
 // std::atomic (an alias, not a wrapper), and DataCell must add nothing
 // to the payload. bench_queue's perf gate rests on these being true.
@@ -280,8 +272,6 @@ inline void SpinWaitWhile(const Atomic<T>& a, T v) {
   }
   mc::HookBlockWhileValue(&a, observed);
 }
-
-inline void SpinYield() { mc::HookYield(); }
 
 #endif  // ASTERIX_MODEL_CHECK
 

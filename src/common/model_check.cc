@@ -123,7 +123,6 @@ enum class OpKind : uint8_t {
   kCvReacquire,
   kCvNotify,
   kSpinBlock,
-  kYield,
 };
 
 struct PendingOp {
@@ -196,7 +195,6 @@ const char* KindName(OpKind k) {
     case OpKind::kCvReacquire: return "cv_wake";
     case OpKind::kCvNotify: return "cv_notify";
     case OpKind::kSpinBlock: return "spin_park";
-    case OpKind::kYield: return "yield";
   }
   return "?";
 }
@@ -288,7 +286,6 @@ class Engine {
     steps_ = 0;
     depth_ = 0;
     sleep_mask_ = 0;
-    yield_mask_ = 0;
     exec_over_ = false;
     failing_ = false;
     pruned_ = false;
@@ -375,22 +372,6 @@ class Engine {
         AbortWorkersLocked(l);
         return;
       }
-      // Yield fairness: a thread that executed kYield is in a spin loop
-      // that cannot progress until someone else writes. Keep it off the
-      // schedule while any non-yielded thread is enabled; with everyone
-      // yielded (or only yielders left), let them run — a genuinely
-      // stuck spin then trips the step bound and reports a livelock.
-      {
-        int active[kMaxThreads];
-        int nactive = 0;
-        for (int k = 0; k < nenabled; ++k) {
-          if (!(yield_mask_ & (1u << enabled[k]))) active[nactive++] = enabled[k];
-        }
-        if (nactive > 0) {
-          for (int k = 0; k < nactive; ++k) enabled[k] = active[k];
-          nenabled = nactive;
-        }
-      }
       int options[kMaxThreads];
       int noptions = 0;
       for (int k = 0; k < nenabled; ++k) {
@@ -416,22 +397,6 @@ class Engine {
         return;
       }
       executed.result = th_[t].op.result;
-      // Yield bookkeeping: reads cannot unstick a spinner, so only a
-      // write-ish op (store/rmw/cas/mutex/cv traffic) clears the yield
-      // set; a kYield adds its thread.
-      switch (executed.kind) {
-        case OpKind::kYield:
-          yield_mask_ |= 1u << t;
-          break;
-        case OpKind::kLoad:
-        case OpKind::kDataRead:
-        case OpKind::kFence:
-        case OpKind::kSpinBlock:
-          break;
-        default:
-          yield_mask_ = 0;
-          break;
-      }
       for (int u = 1; u < nthreads_; ++u) {
         if ((sleep_mask_ & (1u << u)) && th_[u].has_pending &&
             Conflicts(th_[u].op, executed)) {
@@ -691,8 +656,6 @@ class Engine {
       }
       case OpKind::kSpinBlock:
         break;  // the caller re-checks with its own ordering
-      case OpKind::kYield:
-        break;  // no memory effect; Schedule applies the fairness rule
     }
     // Refresh the trace copy so it carries the op's results (the record
     // is pushed pre-execution so a failing op still appears).
@@ -1051,7 +1014,6 @@ class Engine {
   std::vector<Decision> trail_;
   size_t depth_ = 0;
   uint32_t sleep_mask_ = 0;
-  uint32_t yield_mask_ = 0;
 
   bool exec_over_ = false;  // tearing down: hooks pass through
   bool failing_ = false;
@@ -1305,16 +1267,6 @@ void HookBlockWhileValue(const void* loc, uint64_t observed) {
   // init: if the location is unregistered the caller just read the
   // observed value from it, so that is also its initial value.
   op.init = observed;
-  Dispatch(&op);
-}
-
-void HookYield() {
-  if (PassthroughNow()) {
-    std::this_thread::yield();
-    return;
-  }
-  PendingOp op;
-  op.kind = OpKind::kYield;
   Dispatch(&op);
 }
 

@@ -317,7 +317,8 @@ Status FeedIntakeOperator::Run(TaskContext* ctx) {
 
     if (queue_->failed()) return queue_->failure();
 
-    // Batched hand-off: one lock acquisition drains everything queued.
+    // Batched hand-off: one acquisition of the subscriber queue's mutex
+    // moves everything queued (SubscriberQueue::NextBatchInto).
     std::vector<FramePtr> batch = queue_->NextBatch(/*timeout_ms=*/20);
     if (!batch.empty()) {
       for (FramePtr& frame : batch) {

@@ -17,16 +17,6 @@ namespace feeds {
 using common::Status;
 using hyracks::FramePtr;
 
-namespace {
-
-// Capacity (frames, a power of two) of each subscriber's lock-free
-// hand-off ring. Purely mechanical: the byte budget in SubscriberOptions
-// is the policy bound; a full ring under budget falls back to the mutexed
-// overflow path (or, in Discard mode, newest-wins displacement).
-constexpr size_t kRingFrames = 4096;
-
-}  // namespace
-
 void DataBucket::Consume() {
   if (pending_.fetch_sub(1) == 1) {
     pool_->Return(this);
@@ -76,7 +66,6 @@ SubscriberQueue::SubscriberQueue(SubscriberOptions options, uint64_t seed)
                       ? options_.spill_pool
                       : common::MemGovernor::Default().GetPool(
                             common::MemGovernor::kSpillPool)),
-      ring_(kRingFrames),
       rng_(seed) {
   spill_path_ = options_.spill_dir + "/" + options_.name + "." +
                 std::to_string(common::NowMicros()) + ".spill";
@@ -86,14 +75,10 @@ SubscriberQueue::~SubscriberQueue() {
   // No concurrent producers/consumers by now (shared_ptr ownership).
   // RetireEntry (not a bare bucket Consume) so the governor charge for
   // every still-buffered frame is returned.
-  for (Entry& e : ring_.TryPopAll()) {
-    RetireEntry(e);
-  }
   common::MutexLock lock(mutex_);
-  for (Entry& e : overflow_) {
-    RetireEntry(e);
+  for (size_t i = head_; i < queued_.size(); ++i) {
+    RetireEntry(queued_[i]);
   }
-  overflow_.clear();
   if (spill_file_ != nullptr) {
     std::fclose(spill_file_);
     std::remove(spill_path_.c_str());
@@ -121,12 +106,11 @@ FramePtr SubscriberQueue::SampleFrame(const FramePtr& frame,
 void SubscriberQueue::SpillLocked(const FramePtr& frame) {
   // A prior spill I/O failure is terminal: appending after a torn record
   // would misframe everything behind it.
-  // relaxed: read under mutex_, which every failed_ writer also holds.
-  if (failed_.load(std::memory_order_relaxed)) return;
+  if (failed_) return;
   if (spill_file_ == nullptr) {
     spill_file_ = std::fopen(spill_path_.c_str(), "w+b");
     if (spill_file_ == nullptr) {
-      failed_.store(true);
+      failed_ = true;
       failure_ = Status::IOError("cannot open spill file " + spill_path_);
       return;
     }
@@ -145,14 +129,14 @@ void SubscriberQueue::SpillLocked(const FramePtr& frame) {
     // and must NOT be counted — spill_pending_frames_ only tracks
     // frames the restore path can actually read back; a ghost count
     // would make the consumer retry the restore forever.
-    failed_.store(true);
+    failed_ = true;
     if (failure_.ok()) {
       failure_ =
           Status::IOError("short write to spill file " + spill_path_);
     }
     return;
   }
-  spill_pending_frames_.fetch_add(1, std::memory_order_release);
+  ++spill_pending_frames_;
   ++stats_.frames_spilled;
   stats_.bytes_spilled += static_cast<int64_t>(payload.size());
   if (spill_pool_ != nullptr) {
@@ -167,11 +151,7 @@ void SubscriberQueue::SpillLocked(const FramePtr& frame) {
 }
 
 bool SubscriberQueue::RestoreFromSpillLocked() {
-  // relaxed: every spill-counter write happens under mutex_ (held
-  // here), so mutual exclusion already orders these reads; the release
-  // on the writes exists for NextBatch's lock-free acquire probes.
-  if (spill_pending_frames_.load(std::memory_order_relaxed) == 0 ||
-      spill_file_ == nullptr) {
+  if (spill_pending_frames_ == 0 || spill_file_ == nullptr) {
     return false;
   }
   std::fflush(spill_file_);
@@ -179,9 +159,7 @@ bool SubscriberQueue::RestoreFromSpillLocked() {
   // Restore a small batch per call so memory stays bounded.
   int restored = 0;
   bool torn = false;
-  // relaxed: under mutex_ (see above).
-  while (spill_pending_frames_.load(std::memory_order_relaxed) > 0 &&
-         restored < 8) {
+  while (spill_pending_frames_ > 0 && restored < 8) {
     uint32_t len = 0;
     if (std::fread(&len, sizeof(len), 1, spill_file_) != 1) {
       torn = true;
@@ -199,50 +177,40 @@ bool SubscriberQueue::RestoreFromSpillLocked() {
       auto parsed = adm::ParseAdm(line);
       if (parsed.ok()) records.push_back(std::move(*parsed));
     }
-    spill_pending_frames_.fetch_sub(1, std::memory_order_release);
+    --spill_pending_frames_;
     ++stats_.frames_restored;
     ++restored;
     if (!records.empty()) {
       Entry entry;
       entry.frame = hyracks::MakeFrame(std::move(records));
-      // relaxed: budget gauge — RMWs keep it conserved and no payload
-      // is published through it (frames travel via the ring/overflow).
-      pending_bytes_.fetch_add(
-          static_cast<int64_t>(entry.frame->ApproxBytes()),
-          std::memory_order_relaxed);
       if (mem_pool_ != nullptr) {
         // Forced: the restore path must drain the spill file even under
-        // a starved governor (a refusal here would livelock replenish);
-        // the overdraft is counted and visible.
+        // a starved governor (a refusal here would livelock the
+        // consumer); the overdraft is counted and visible.
         mem_pool_->ForceReserve(entry.frame->ApproxBytes());
       }
-      EnqueueEntryLocked(std::move(entry));
+      EnqueueLocked(std::move(entry));
     }
   }
-  // relaxed: under mutex_ (see above); also applies to the log read.
-  if (torn && restored == 0 &&
-      spill_pending_frames_.load(std::memory_order_relaxed) > 0) {
+  if (torn && restored == 0 && spill_pending_frames_ > 0) {
     // The counter claims frames the file cannot yield (truncated or
     // torn by a failed write). Every write the counter accounts for
     // completed under this mutex before the increment, so no more bytes
     // can ever appear: a zero-progress pass is permanent, and leaving
-    // the count nonzero would make NextBatch's replenish path retry
-    // this restore forever. Reconcile the count and surface the I/O
-    // error as the queue's terminal state.
+    // the count nonzero would make NextBatch retry this restore forever.
+    // Reconcile the count and surface the I/O error as the queue's
+    // terminal state.
     LOG_MSG(kWarn) << options_.name << ": spill file " << spill_path_
-                   << " unreadable; "
-                   // relaxed: under mutex_ (see function head).
-                   << spill_pending_frames_.load(std::memory_order_relaxed)
+                   << " unreadable; " << spill_pending_frames_
                    << " frame(s) lost";
-    failed_.store(true);
+    failed_ = true;
     if (failure_.ok()) {
       failure_ = Status::IOError("spill file truncated or unreadable: " +
                                  spill_path_);
     }
-    spill_pending_frames_.store(0, std::memory_order_release);
+    spill_pending_frames_ = 0;
   }
-  // relaxed: under mutex_ (see above).
-  if (spill_pending_frames_.load(std::memory_order_relaxed) == 0) {
+  if (spill_pending_frames_ == 0) {
     // Fully drained (or reconciled): reclaim the file so a later burst
     // starts fresh, and return its governor charge.
     std::fclose(spill_file_);
@@ -258,66 +226,43 @@ bool SubscriberQueue::RestoreFromSpillLocked() {
 }
 
 void SubscriberQueue::RetireEntry(const Entry& entry) {
-  const size_t frame_bytes = entry.frame->ApproxBytes();
-  // relaxed: budget gauge (see RestoreFromSpillLocked) — the RMW keeps
-  // conservation; admission tolerates one-frame staleness.
-  pending_bytes_.fetch_sub(static_cast<int64_t>(frame_bytes),
-                           std::memory_order_relaxed);
-  // Mirror of the charge taken where pending_bytes_ was incremented
-  // (DeliverLocked's append / the spill-restore path): the governor's
-  // view of this queue is exactly its pending bytes.
-  if (mem_pool_ != nullptr) mem_pool_->Release(frame_bytes);
+  // Mirror of the charge taken when the entry was enqueued (DeliverLocked's
+  // append / the spill-restore path): the governor's view of this queue
+  // is exactly its pending bytes.
+  if (mem_pool_ != nullptr) mem_pool_->Release(entry.frame->ApproxBytes());
   if (entry.bucket != nullptr) entry.bucket->Consume();
 }
 
-void SubscriberQueue::EnqueueEntryLocked(Entry entry) {
-  if (options_.mode == ExcessMode::kDiscard) {
-    // Newest-wins ring: a full ring displaces the OLDEST queued frame
-    // (the paper's Discard policy values fresh data; the byte-budget
-    // hysteresis in DeliverLocked is the primary drop mechanism, this is
-    // the bounded-ring backstop). The displaced frame's records count as
-    // discarded even though they were once counted delivered.
-    std::optional<Entry> displaced;
-    ring_.Push(std::move(entry), &displaced);
-    if (displaced.has_value()) {
-      stats_.records_discarded +=
-          static_cast<int64_t>(displaced->frame->record_count());
-      RetireEntry(*displaced);
-    }
-    return;
-  }
-  // Lossless modes: ring first; a full ring (or an already-backed-up
-  // overflow, to preserve FIFO) defers to the mutexed overflow deque.
-  // relaxed: overflow_count_ writes all happen under mutex_ (held
-  // here); the release on them serves NextBatch's lock-free probes.
-  if (overflow_count_.load(std::memory_order_relaxed) == 0 &&
-      ring_.TryPushFrom(entry)) {
-    return;
-  }
-  ++stats_.frames_overflowed;
-  // hot-ok: overflow branch — only reached when the ring is full; deque
-  // growth is amortized and the bytes are already governor-charged.
-  overflow_.push_back(std::move(entry));
-  overflow_count_.fetch_add(1, std::memory_order_release);
+void SubscriberQueue::EnqueueLocked(Entry entry) {
+  pending_bytes_ += static_cast<int64_t>(entry.frame->ApproxBytes());
+  stats_.peak_pending_bytes =
+      std::max(stats_.peak_pending_bytes, pending_bytes_);
+  // hot-ok: growth only while the backlog exceeds every earlier peak;
+  // DequeueLocked keeps the capacity, and the frame bytes are already
+  // governor-charged.
+  queued_.push_back(std::move(entry));
 }
 
-bool SubscriberQueue::ReplenishRingLocked() {
-  bool moved = false;
-  // Overflowed entries are older than anything spilled after them; the
-  // producer never pushes to the ring while overflow_count_ > 0, so
-  // migrating front-to-back preserves FIFO.
-  while (!overflow_.empty()) {
-    if (!ring_.TryPushFrom(overflow_.front())) break;
-    overflow_.pop_front();
-    overflow_count_.fetch_sub(1, std::memory_order_release);
-    moved = true;
+void SubscriberQueue::DequeueLocked(std::vector<Entry>* out,
+                                    size_t max_frames) {
+  const size_t n = std::min(queued_.size() - head_, max_frames);
+  for (size_t i = head_; i < head_ + n; ++i) {
+    pending_bytes_ -= static_cast<int64_t>(queued_[i].frame->ApproxBytes());
+    // hot-ok: consumer-owned thread_local scratch whose capacity is
+    // reused across calls.
+    out->push_back(std::move(queued_[i]));
   }
-  // relaxed: under mutex_ (see RestoreFromSpillLocked).
-  if (overflow_.empty() && ring_.empty() &&
-      spill_pending_frames_.load(std::memory_order_relaxed) > 0) {
-    moved = RestoreFromSpillLocked() || moved;
+  head_ += n;
+  if (head_ == queued_.size()) {
+    queued_.clear();
+    head_ = 0;
+  } else if (head_ >= queued_.size() / 2) {
+    // Compact: each moved entry stands for at least one dequeued since
+    // the last compaction, so the cost amortizes to O(1) per frame.
+    queued_.erase(queued_.begin(),
+                  queued_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
   }
-  return moved;
 }
 
 void SubscriberQueue::Deliver(FramePtr frame, DataBucket* bucket) {
@@ -340,8 +285,8 @@ void SubscriberQueue::Deliver(FramePtr frame, DataBucket* bucket) {
     common::MutexLock lock(mutex_);
     DeliverLocked(std::move(frame), bucket, traced ? &span : nullptr);
   }
-  // Wake parked consumers after unlocking (one atomic load when nobody
-  // waits). Covers data arrival AND the failure transitions below.
+  // Wake waiting consumers after unlocking. Covers data arrival AND the
+  // failure transitions below.
   ready_.NotifyAll();
   // Recorded after unlocking: RecordSpan takes the tracer (and possibly
   // registry) mutex, which a Snapshot() provider holds around this
@@ -363,9 +308,7 @@ void SubscriberQueue::DeliverLocked(FramePtr frame, DataBucket* bucket,
       span->detail = true;  // terminal drop spans don't tile the path
     }
   };
-  // relaxed: read under mutex_, which End() holds for its store; the
-  // release there serves NextBatch's lock-free probe.
-  if (ended_.load(std::memory_order_relaxed)) {
+  if (ended_) {
     consume();
     outcome("discarded", "ended");
     return;
@@ -383,10 +326,7 @@ void SubscriberQueue::DeliverLocked(FramePtr frame, DataBucket* bucket,
            .ok();
   bool over_budget =
       governor_refused ||
-      // relaxed: budget gauge; missing one concurrent retire only
-      // shifts the admission boundary by a single frame.
-      pending_bytes_.load(std::memory_order_relaxed) + frame_bytes >
-          options_.memory_budget_bytes;
+      pending_bytes_ + frame_bytes > options_.memory_budget_bytes;
 
   auto append = [&](FramePtr f, DataBucket* b) {
     if (mem_pool_ != nullptr) {
@@ -402,13 +342,6 @@ void SubscriberQueue::DeliverLocked(FramePtr frame, DataBucket* bucket,
         mem_pool_->Release(leased - appended);
       }
     }
-    // relaxed: budget gauge RMW (see RetireEntry).
-    int64_t now_pending =
-        pending_bytes_.fetch_add(static_cast<int64_t>(f->ApproxBytes()),
-                                 std::memory_order_relaxed) +
-        static_cast<int64_t>(f->ApproxBytes());
-    stats_.peak_pending_bytes =
-        std::max(stats_.peak_pending_bytes, now_pending);
     ++stats_.frames_delivered;
     stats_.records_delivered += static_cast<int64_t>(f->record_count());
     if (span != nullptr) {
@@ -421,7 +354,7 @@ void SubscriberQueue::DeliverLocked(FramePtr frame, DataBucket* bucket,
     entry.frame = std::move(f);
     entry.bucket = b;
     if (span != nullptr) entry.deliver_us = common::NowMicros();
-    EnqueueEntryLocked(std::move(entry));
+    EnqueueLocked(std::move(entry));
   };
 
   if (throttling_) {
@@ -443,7 +376,7 @@ void SubscriberQueue::DeliverLocked(FramePtr frame, DataBucket* bucket,
       // feed (§4.5). Elastic buffers the same way while the system
       // re-structures the pipeline; the budget is its headroom.
       if (over_budget && options_.mode == ExcessMode::kBlock) {
-        failed_.store(true);
+        failed_ = true;
         // hot-ok: terminal failure branch — the feed is ending; the
         // status string is built once per subscriber lifetime.
         failure_ = Status::ResourceExhausted(
@@ -457,9 +390,7 @@ void SubscriberQueue::DeliverLocked(FramePtr frame, DataBucket* bucket,
       return;
     }
     case ExcessMode::kSpill: {
-      // relaxed: under mutex_ (see RestoreFromSpillLocked).
-      if (over_budget ||
-          spill_pending_frames_.load(std::memory_order_relaxed) > 0) {
+      if (over_budget || spill_pending_frames_ > 0) {
         // The spill governor pool must also admit the frame (lease on
         // the in-memory estimate; SpillLocked charges the exact on-disk
         // bytes and this lease releases at scope exit). A refusal is
@@ -485,7 +416,7 @@ void SubscriberQueue::DeliverLocked(FramePtr frame, DataBucket* bucket,
               outcome("throttled", "throttled");
             }
           } else {
-            failed_.store(true);
+            failed_ = true;
             failure_ = Status::ResourceExhausted(
                 "feed '" + options_.name + "' exhausted its spill budget");
             consume();
@@ -507,10 +438,8 @@ void SubscriberQueue::DeliverLocked(FramePtr frame, DataBucket* bucket,
       // Hysteresis per §4.5: once the budget is hit, excess records are
       // discarded ALTOGETHER until the existing backlog clears — the
       // "periods of discontinuity" of Figure 7.9.
-      // relaxed: budget gauge; hysteresis tolerates staleness.
       if (discarding_ &&
-          pending_bytes_.load(std::memory_order_relaxed) <=
-              options_.memory_budget_bytes / 4) {
+          pending_bytes_ <= options_.memory_budget_bytes / 4) {
         discarding_ = false;
       }
       if (over_budget) discarding_ = true;
@@ -527,10 +456,8 @@ void SubscriberQueue::DeliverLocked(FramePtr frame, DataBucket* bucket,
     case ExcessMode::kThrottle: {
       // Adaptive sampling: the fuller the queue, the lower the keep
       // probability, regulating the effective arrival rate.
-      // relaxed: budget gauge; the keep rate tolerates staleness.
       double keep = ThrottleKeepProbability(
-          pending_bytes_.load(std::memory_order_relaxed), frame_bytes,
-          options_.memory_budget_bytes);
+          pending_bytes_, frame_bytes, options_.memory_budget_bytes);
       // Global pressure sheds too: a governor refusal halves the keep
       // rate even when this subscriber's own queue looks healthy.
       if (governor_refused) keep = std::min(keep, 0.5);
@@ -555,7 +482,7 @@ void SubscriberQueue::DeliverEnd() {
     // Serialized with in-flight Delivers so "ended" cleanly partitions
     // the delivery order (frames after the end marker are dropped).
     common::MutexLock lock(mutex_);
-    ended_.store(true, std::memory_order_release);
+    ended_ = true;
   }
   ready_.NotifyAll();
 }
@@ -598,63 +525,27 @@ size_t SubscriberQueue::NextBatchInto(std::vector<FramePtr>* out,
   // an idle thread between calls.
   thread_local std::vector<Entry> popped;
   popped.clear();
-  for (;;) {
-    // Fast path: drain straight off the ring, no lock.
-    (void)ring_.PopAllBoundedInto(&popped, max_frames);
-    if (!popped.empty()) break;
-    // Rare paths hold data the ring does not: overflowed entries and
-    // spilled frames. Migrate under the mutex, then re-poll.
-    if (overflow_count_.load(std::memory_order_acquire) > 0 ||
-        spill_pending_frames_.load(std::memory_order_acquire) > 0) {
-      {
-        common::MutexLock lock(mutex_);
-        ReplenishRingLocked();
+  {
+    common::MutexLock lock(mutex_);
+    for (;;) {
+      // Spilled frames are younger than every queued one, so they are
+      // restored only into an empty FIFO. A pass whose frames were all
+      // empty queues nothing: keep restoring until something is queued
+      // or the file is drained.
+      while (head_ == queued_.size() && spill_pending_frames_ > 0 &&
+             RestoreFromSpillLocked()) {
       }
-      // Replenish cannot always make progress (ring still full behind a
-      // racing consumer, or a restore that just failed the queue on a
-      // bad spill file): honor the deadline on this branch too, or an
-      // I/O error becomes a busy retry loop that never times out.
-      if (std::chrono::steady_clock::now() >= deadline) {
-        (void)ring_.PopAllBoundedInto(&popped, max_frames);
-        break;
-      }
-      continue;
+      // Terminal states still hand out what is buffered: the contract is
+      // empty only when ended/failed with NOTHING left.
+      if (head_ < queued_.size() || ended_ || failed_) break;
+      const auto now = std::chrono::steady_clock::now();
+      if (now >= deadline) break;
+      (void)ready_.WaitFor(mutex_, deadline - now);
     }
-    if (ended_.load(std::memory_order_acquire) || failed_.load()) {
-      // Terminal — but a frame Delivered between the empty drain above
-      // and this flag load would be stranded if that drain were trusted:
-      // the contract is empty only when ended/failed with NOTHING
-      // buffered. One last ring drain (and rare-path check) before
-      // reporting drained, mirroring MpmcQueue::Pop's closed re-check.
-      (void)ring_.PopAllBoundedInto(&popped, max_frames);
-      if (!popped.empty()) break;
-      if (overflow_count_.load(std::memory_order_acquire) > 0 ||
-          spill_pending_frames_.load(std::memory_order_acquire) > 0) {
-        continue;  // migrate the leftovers, then drain them
-      }
-      return 0;  // terminal and drained
-    }
-    // Park until a producer signals (delivery/end/failure) or timeout.
-    uint64_t epoch = ready_.PrepareWait();
-    if (!ring_.empty() ||
-        overflow_count_.load(std::memory_order_acquire) > 0 ||
-        spill_pending_frames_.load(std::memory_order_acquire) > 0 ||
-        ended_.load(std::memory_order_acquire) || failed_.load()) {
-      ready_.CancelWait();
-      continue;
-    }
-    auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) {
-      ready_.CancelWait();
-      return 0;
-    }
-    if (!ready_.WaitFor(epoch, deadline - now)) {
-      // Timed out: one last look so a racing delivery is not stranded
-      // until the caller's next poll.
-      (void)ring_.PopAllBoundedInto(&popped, max_frames);
-      break;
-    }
+    DequeueLocked(&popped, max_frames);
   }
+  // Bucket and governor releases and span recording run after unlocking:
+  // RecordSpan must not run under a queue mutex (see Deliver()).
   // hot-ok: consumer-owned output vector — callers reuse a thread_local
   // scratch buffer, so the reserve/push_back growth amortizes to zero.
   out->reserve(out->size() + popped.size());
@@ -670,7 +561,6 @@ size_t SubscriberQueue::NextBatchInto(std::vector<FramePtr>* out,
   }
   const size_t appended = popped.size();
   if (any_traced) {
-    // Span recording happens with no queue lock held (see Deliver()).
     // Untraced drains (the common case) never reach this branch, so the
     // hot path stays allocation-free.
     int64_t pop_us = common::NowMicros();
@@ -685,9 +575,13 @@ size_t SubscriberQueue::NextBatchInto(std::vector<FramePtr>* out,
 }
 
 bool SubscriberQueue::ended() const {
-  return ended_.load(std::memory_order_acquire) && ring_.empty() &&
-         overflow_count_.load(std::memory_order_acquire) == 0 &&
-         spill_pending_frames_.load(std::memory_order_acquire) == 0;
+  common::MutexLock lock(mutex_);
+  return ended_ && head_ == queued_.size() && spill_pending_frames_ == 0;
+}
+
+bool SubscriberQueue::failed() const {
+  common::MutexLock lock(mutex_);
+  return failed_;
 }
 
 common::Status SubscriberQueue::failure() const {
@@ -700,12 +594,15 @@ SubscriberStats SubscriberQueue::stats() const {
   return stats_;
 }
 
+int64_t SubscriberQueue::pending_bytes() const {
+  common::MutexLock lock(mutex_);
+  return pending_bytes_;
+}
+
 size_t SubscriberQueue::pending_frames() const {
-  return ring_.size() +
-         static_cast<size_t>(
-             overflow_count_.load(std::memory_order_acquire)) +
-         static_cast<size_t>(
-             spill_pending_frames_.load(std::memory_order_acquire));
+  common::MutexLock lock(mutex_);
+  return queued_.size() - head_ +
+         static_cast<size_t>(spill_pending_frames_);
 }
 
 }  // namespace feeds

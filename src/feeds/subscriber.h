@@ -4,15 +4,14 @@
 // handling (Table 4.2) is enforced: block/buffer (Basic), spill to disk
 // (Spill), drop (Discard), or sample (Throttle/Elastic-interim).
 //
-// Data-plane layout (lock-free rewire): the frame hand-off itself rides a
-// bounded lock-free ring (common::OverwriteQueue over the Vyukov
-// MpmcQueue), so the producer (joint routing thread) and the consumer
-// (intake pump) never contend on a mutex for the hot path. The policy
-// machinery — byte budget, spill/restore, sampling, discard hysteresis,
-// stats — is a thin producer-side state layer under mutex_; that mutex is
-// only ever taken by the single producer and by consumers on the *rare*
-// paths (overflow migration, spill restore, terminal states), so the
-// per-frame cost is one ring push + one ring pop.
+// Data-plane layout: one FIFO of queued frames under one mutex. The
+// producer (joint routing thread) appends under the lock it already needs
+// for the policy state — byte budget, spill/restore, sampling, discard
+// hysteresis, stats — and the consumer (intake pump) moves a whole batch
+// out under one acquisition, waiting on a condition variable on the same
+// mutex when idle. Bucket releases, governor releases and trace spans run
+// after the consumer unlocks. The only policy bound is the byte budget in
+// SubscriberOptions; the FIFO itself has no frame cap.
 #pragma once
 
 #include <atomic>
@@ -24,7 +23,6 @@
 #include <vector>
 
 #include "common/mem_governor.h"
-#include "common/mpmc_queue.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
@@ -105,9 +103,6 @@ struct SubscriberStats {
   int64_t bytes_spilled = 0;
   int64_t frames_restored = 0;
   int64_t peak_pending_bytes = 0;
-  /// Frames that missed the lock-free ring and took the mutexed
-  /// overflow path (non-Discard modes; ring sizing diagnostic).
-  int64_t frames_overflowed = 0;
 };
 
 /// One subscriber's queue. Producer side: the feed joint Delivers frames
@@ -139,7 +134,7 @@ class SubscriberQueue {
   std::optional<hyracks::FramePtr> Next(int64_t timeout_ms);
 
   /// Consumer side, batched: waits up to `timeout_ms` for data, then
-  /// drains up to `max_frames` queued frames (lock-free off the ring).
+  /// drains up to `max_frames` queued frames under one lock acquisition.
   /// Empty result on timeout or when the queue ended/failed with nothing
   /// buffered.
   std::vector<hyracks::FramePtr> NextBatch(int64_t timeout_ms,
@@ -155,14 +150,11 @@ class SubscriberQueue {
   bool ended() const;
   /// Set when the Basic policy exhausted its memory budget (feed must
   /// terminate) or spillage overflowed without a throttle fallback.
-  bool failed() const { return failed_.load(); }
+  bool failed() const;
   [[nodiscard]] common::Status failure() const;
 
   SubscriberStats stats() const;
-  int64_t pending_bytes() const {
-    // relaxed: monitoring read of the budget gauge.
-    return pending_bytes_.load(std::memory_order_relaxed);
-  }
+  int64_t pending_bytes() const;
   size_t pending_frames() const;
   const std::string& name() const { return options_.name; }
 
@@ -178,20 +170,18 @@ class SubscriberQueue {
   // unlocking — RecordSpan must not run under a queue mutex.
   void DeliverLocked(hyracks::FramePtr frame, DataBucket* bucket,
                      TraceSpan* span) REQUIRES(mutex_);
-  /// Hands an entry to the consumer side: lock-free ring push first;
-  /// Discard mode displaces the oldest entry when the ring is full,
-  /// other modes fall back to the mutexed overflow deque.
-  void EnqueueEntryLocked(Entry entry) REQUIRES(mutex_);
-  /// Retires a popped/displaced/abandoned entry's bucket reference and
-  /// byte accounting.
+  /// Appends to the FIFO, charging the entry's bytes to pending_bytes_.
+  void EnqueueLocked(Entry entry) REQUIRES(mutex_);
+  /// Moves up to `max_frames` entries off the FIFO front into `out`,
+  /// taking their bytes off pending_bytes_.
+  void DequeueLocked(std::vector<Entry>* out, size_t max_frames)
+      REQUIRES(mutex_);
+  /// Returns a dequeued or abandoned entry's governor charge and bucket
+  /// reference. Runs without mutex_ on the consumer path.
   void RetireEntry(const Entry& entry);
   void RecordQueueSpan(const Entry& entry, int64_t pop_us) const;
   void SpillLocked(const hyracks::FramePtr& frame) REQUIRES(mutex_);
   bool RestoreFromSpillLocked() REQUIRES(mutex_);
-  /// Consumer-side slow path: migrates overflowed entries into the ring
-  /// and restores spilled frames once the ring has drained. Returns true
-  /// if it moved anything (the caller re-polls the ring).
-  bool ReplenishRingLocked() REQUIRES(mutex_);
   hyracks::FramePtr SampleFrame(const hyracks::FramePtr& frame,
                                 double keep_probability) REQUIRES(mutex_);
 
@@ -203,34 +193,22 @@ class SubscriberQueue {
   // Destroyed after the destructor body runs, so leftover buckets can
   // always be returned safely.
   std::shared_ptr<DataBucketPool> pool_keepalive_;
-  // The hot hand-off path: rank-exempt lock-free ring (see
-  // common/mpmc_queue.h). Push/displace under mutex_ (producer side),
-  // pop without any lock (consumer side).
-  common::OverwriteQueue<Entry> ring_;
-  // Parking for idle consumers; producers notify after every delivery,
-  // end, or failure.
-  common::EventCount ready_;
   mutable common::Mutex mutex_{common::LockRank::kSubscriberQueue};
-  // Counter/flag ordering protocol (model-checked invariants in
-  // tests/model/): every WRITE to the atomics below happens under
-  // mutex_ with release strength; readers holding mutex_ load relaxed
-  // (mutual exclusion already orders them), while NextBatch's lock-free
-  // probes load acquire to pair with the writers' releases.
-  // pending_bytes_ is the exception — a pure budget gauge whose RMWs
-  // conserve the sum; all its accesses are relaxed.
-  std::atomic<int64_t> pending_bytes_{0};
-  std::atomic<bool> ended_{false};
-  std::atomic<bool> failed_{false};
+  // Signalled after every delivery, end, or failure.
+  common::CondVar ready_;
+  // The FIFO: entries [head_, queued_.size()) are queued, oldest first;
+  // the slots before head_ were moved out. DequeueLocked clears the
+  // vector once drained and compacts it once half of it is dead, so its
+  // capacity is reused and a steady state allocates nothing.
+  std::vector<Entry> queued_ GUARDED_BY(mutex_);
+  size_t head_ GUARDED_BY(mutex_) = 0;
+  // Bytes of the queued entries: the per-subscriber budget gauge.
+  int64_t pending_bytes_ GUARDED_BY(mutex_) = 0;
+  bool ended_ GUARDED_BY(mutex_) = false;
+  bool failed_ GUARDED_BY(mutex_) = false;
   common::Status failure_ GUARDED_BY(mutex_);
   SubscriberStats stats_ GUARDED_BY(mutex_);
   common::Rng rng_ GUARDED_BY(mutex_);
-
-  // Overflow: entries that missed a full ring in non-Discard modes.
-  // FIFO is preserved by construction: while overflow_count_ > 0 the
-  // producer appends here (never to the ring), and consumers migrate
-  // overflow into the ring only after the ring drained.
-  std::deque<Entry> overflow_ GUARDED_BY(mutex_);
-  std::atomic<int64_t> overflow_count_{0};
 
   // Spill state: once active, all arrivals spill until fully drained
   // (preserves record order).
@@ -239,7 +217,7 @@ class SubscriberQueue {
   /// Bytes this queue's spill file currently charges against spill_pool_
   /// (released when the drained file is reclaimed, and at destruction).
   int64_t spill_charged_ GUARDED_BY(mutex_) = 0;
-  std::atomic<int64_t> spill_pending_frames_{0};  // written under mutex_
+  int64_t spill_pending_frames_ GUARDED_BY(mutex_) = 0;
   int64_t spill_read_offset_ GUARDED_BY(mutex_) = 0;
   bool throttling_ GUARDED_BY(mutex_) = false;   // spill overflow fallback
   bool discarding_ GUARDED_BY(mutex_) = false;   // Discard hysteresis:

@@ -56,13 +56,12 @@ TEST(AtomicShimTest, SpinWaitWhileReturnsOnStore) {
   releaser.join();
 }
 
-TEST(AtomicShimTest, FenceAndYieldAreCallable) {
-  // Pass-through build: these compile to the std primitives and are
-  // safe to call from any context.
+TEST(AtomicShimTest, FenceIsCallable) {
+  // Pass-through build: this compiles to the std primitive and is safe
+  // to call from any context.
   AtomicFence(std::memory_order_seq_cst);
   AtomicFence(std::memory_order_acquire);
   AtomicFence(std::memory_order_release);
-  SpinYield();
 }
 
 TEST(StatusTest, DefaultIsOk) {

@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -570,6 +571,24 @@ TEST(ZeroAllocSteadyState, PooledFramePathAllocatesNothingPerFrame) {
   // Sanity: the steady phase really ran on recycled memory.
   EXPECT_GE(pool.block_hits(), kSteadyFrames);
   EXPECT_GE(pool.vector_hits(), kSteadyFrames);
+}
+
+// Subscribing is on the connect path (every intake subscribes at
+// ConnectFeed), so a queue must cost its bookkeeping, not a pre-sized
+// frame buffer: it grows with the backlog instead.
+TEST(SubscriberQueueMemory, ConstructionAllocatesUnder16KiB) {
+  if (!testing::AllocInterposerActive()) {
+    GTEST_SKIP() << "alloc interposer absent (sanitizer build)";
+  }
+  auto gov = TestGovernor();
+  feeds::SubscriberOptions options;
+  options.name = "construction";
+  options.memory_pool = gov->RegisterPool("frame_path", 64 << 20);
+  options.spill_pool = gov->RegisterPool("spill", 64 << 20);
+
+  testing::AllocScope scope;
+  auto queue = std::make_unique<feeds::SubscriberQueue>(options);
+  EXPECT_LT(scope.bytes(), 16 << 10);
 }
 
 }  // namespace

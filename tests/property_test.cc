@@ -239,55 +239,81 @@ class QueueInvariantTest
     : public ::testing::TestWithParam<feeds::ExcessMode> {};
 
 TEST_P(QueueInvariantTest, AccountingIsExactAndOrderPreserved) {
-  feeds::SubscriberOptions options;
-  options.mode = GetParam();
-  options.memory_budget_bytes = 4096;
-  options.name = std::string("invariant_") +
-                 feeds::ExcessModeName(GetParam());
-  feeds::SubscriberQueue queue(options);
+  struct Input {
+    int64_t budget_bytes;
+    int frames;
+    bool under_budget;  // every frame fits in half the budget
+  };
+  // A tight budget, where every mode's excess action engages; and a
+  // budget the whole input stays under, with more frames queued before
+  // the first drain than any fixed-size hand-off ring would hold.
+  const Input kInputs[] = {{4096, 150, false}, {64LL << 20, 5000, true}};
+  for (const Input& input : kInputs) {
+    SCOPED_TRACE("budget " + std::to_string(input.budget_bytes) +
+                 ", frames " + std::to_string(input.frames));
+    feeds::SubscriberOptions options;
+    options.mode = GetParam();
+    options.memory_budget_bytes = input.budget_bytes;
+    options.name = std::string("invariant_") +
+                   feeds::ExcessModeName(GetParam());
+    feeds::SubscriberQueue queue(options);
 
-  constexpr int kFrames = 150;
-  constexpr int kPerFrame = 8;
-  int64_t delivered_in = 0;
-  for (int f = 0; f < kFrames && !queue.failed(); ++f) {
-    std::vector<Value> records;
-    for (int r = 0; r < kPerFrame; ++r) {
-      int64_t n = f * kPerFrame + r;
-      records.push_back(
-          Value::Record({{"id", Value::String(std::to_string(n))},
-                         {"n", Value::Int64(n)}}));
+    constexpr int kPerFrame = 8;
+    int64_t delivered_in = 0;
+    int64_t delivered_bytes = 0;
+    for (int f = 0; f < input.frames && !queue.failed(); ++f) {
+      std::vector<Value> records;
+      for (int r = 0; r < kPerFrame; ++r) {
+        int64_t n = f * kPerFrame + r;
+        records.push_back(
+            Value::Record({{"id", Value::String(std::to_string(n))},
+                           {"n", Value::Int64(n)}}));
+      }
+      delivered_in += kPerFrame;
+      hyracks::FramePtr frame = hyracks::MakeFrame(std::move(records));
+      delivered_bytes += static_cast<int64_t>(frame->ApproxBytes());
+      queue.Deliver(std::move(frame), nullptr);
     }
-    delivered_in += kPerFrame;
-    queue.Deliver(hyracks::MakeFrame(std::move(records)), nullptr);
-  }
-  queue.DeliverEnd();
+    queue.DeliverEnd();
 
-  int64_t seen = 0;
-  int64_t last_n = -1;
-  while (auto frame = queue.Next(500)) {
-    for (const Value& record : (*frame)->records()) {
-      // Order is preserved: n strictly increases even across policy
-      // actions (spill restore, sampling, discard).
-      int64_t n = record.GetField("n")->AsInt64();
-      EXPECT_GT(n, last_n);
-      last_n = n;
-      ++seen;
+    int64_t seen = 0;
+    int64_t last_n = -1;
+    while (auto frame = queue.Next(500)) {
+      for (const Value& record : (*frame)->records()) {
+        // Order is preserved: n strictly increases even across policy
+        // actions (spill restore, sampling, discard).
+        int64_t n = record.GetField("n")->AsInt64();
+        EXPECT_GT(n, last_n);
+        last_n = n;
+        ++seen;
+      }
     }
-  }
-  auto stats = queue.stats();
-  if (queue.failed()) {
-    // Basic: accounting holds up to the failure point.
-    EXPECT_EQ(GetParam(), feeds::ExcessMode::kBlock);
-    return;
-  }
-  // Conservation: in = out + discarded + sampled-away.
-  EXPECT_EQ(delivered_in,
-            seen + stats.records_discarded + stats.records_throttled_away)
-      << "mode " << feeds::ExcessModeName(GetParam());
-  // Spill round-trips losslessly.
-  if (GetParam() == feeds::ExcessMode::kSpill) {
-    EXPECT_EQ(seen, delivered_in);
-    EXPECT_EQ(stats.frames_restored, stats.frames_spilled);
+    auto stats = queue.stats();
+    if (queue.failed()) {
+      // Basic: accounting holds up to the failure point, and only an
+      // exhausted budget may fail it.
+      EXPECT_EQ(GetParam(), feeds::ExcessMode::kBlock);
+      EXPECT_FALSE(input.under_budget);
+      continue;
+    }
+    // Conservation: in = out + discarded + sampled-away.
+    EXPECT_EQ(delivered_in,
+              seen + stats.records_discarded + stats.records_throttled_away)
+        << "mode " << feeds::ExcessModeName(GetParam());
+    // Spill round-trips losslessly.
+    if (GetParam() == feeds::ExcessMode::kSpill) {
+      EXPECT_EQ(seen, delivered_in);
+      EXPECT_EQ(stats.frames_restored, stats.frames_spilled);
+    }
+    // Under budget no mode may drop or sample: the byte budget is the
+    // only bound on what a subscriber queue buffers. (Throttle starts
+    // sampling at half the budget, hence the factor of two.)
+    if (input.under_budget) {
+      ASSERT_LE(2 * delivered_bytes, input.budget_bytes);
+      EXPECT_EQ(stats.records_discarded, 0);
+      EXPECT_EQ(stats.records_throttled_away, 0);
+      EXPECT_EQ(seen, delivered_in);
+    }
   }
 }
 

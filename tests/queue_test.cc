@@ -1,7 +1,7 @@
 // Property and stress tests for the lock-free data-plane queues
 // (common/mpmc_queue.h): conservation under multi-writer/multi-reader
-// load, capacity backpressure, OverwriteQueue displacement accounting,
-// batch-API semantics, and parking behaviour.
+// load, capacity backpressure, batch-API semantics, and parking
+// behaviour.
 // The whole file runs under the tsan-chaos preset (see CMakePresets.json)
 // so every interleaving claim here is also a ThreadSanitizer claim.
 #include <atomic>
@@ -24,7 +24,6 @@ namespace {
 
 using common::EventCount;
 using common::MpmcQueue;
-using common::OverwriteQueue;
 
 TEST(MpmcQueue, CapacityRoundsUpToPowerOfTwo) {
   MpmcQueue<int> q3(3);
@@ -231,46 +230,6 @@ TEST(MpmcQueue, PerProducerOrderPreserved) {
   }
 }
 
-TEST(OverwriteQueue, DisplacesOldestAndCountsDrops) {
-  OverwriteQueue<int> q(4);
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(q.Push(i));
-  EXPECT_EQ(q.dropped(), 0);
-  std::optional<int> displaced;
-  EXPECT_TRUE(q.Push(4, &displaced));  // full: displaces 0
-  ASSERT_TRUE(displaced.has_value());
-  EXPECT_EQ(*displaced, 0);
-  EXPECT_EQ(q.dropped(), 1);
-  EXPECT_TRUE(q.Push(5));  // displaces 1, victim destroyed
-  EXPECT_EQ(q.dropped(), 2);
-  EXPECT_EQ(q.TryPopAll(), (std::vector<int>{2, 3, 4, 5}));  // newest kept
-}
-
-TEST(OverwriteQueue, PushFailsOnlyWhenClosed) {
-  OverwriteQueue<int> q(2);
-  q.Close();
-  EXPECT_FALSE(q.Push(1));
-  EXPECT_EQ(q.dropped(), 0);  // a refused push is not a displacement
-}
-
-// Under producer overload the drop counter and the drained count must
-// exactly account for every push: pushed == popped + dropped.
-TEST(OverwriteQueue, DropAccountingConservation) {
-  constexpr int kProducers = 4;
-  constexpr int kPerProducer = 3000;
-  OverwriteQueue<int> q(8);
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&q] {
-      for (int i = 0; i < kPerProducer; ++i) ASSERT_TRUE(q.Push(i));
-    });
-  }
-  for (auto& t : producers) t.join();
-  size_t remaining = q.TryPopAll().size();
-  EXPECT_EQ(static_cast<int64_t>(remaining) + q.dropped(),
-            int64_t{kProducers} * kPerProducer);
-  EXPECT_LE(remaining, q.capacity());
-}
-
 TEST(EventCount, NotifyWakesWaiter) {
   EventCount ec;
   std::atomic<bool> woke{false};
@@ -364,14 +323,13 @@ TEST(MpmcQueue, PopAllBlocksThenDrainsUntilClosed) {
   EXPECT_TRUE(q.PopAll().empty());
 }
 
-// tsan soak: sustained mixed traffic (blocking pushes, batched pops,
-// displacement) across all three primitives at once. The assertions are
+// tsan soak: sustained mixed traffic (bounded pushes, batched timed
+// pops) from several producers and consumers at once. The assertions are
 // weak on purpose — the point is the interleavings ThreadSanitizer gets
 // to observe when the tsan-chaos preset runs this suite.
 TEST(QueueSoak, MixedTrafficUnderContention) {
   constexpr int kSeconds = 2;
   MpmcQueue<int> mpmc(32);
-  OverwriteQueue<int> lossy(16);
   std::atomic<bool> stop{false};
   std::atomic<int64_t> pushed{0}, popped{0};
 
@@ -382,7 +340,6 @@ TEST(QueueSoak, MixedTrafficUnderContention) {
       int i = 0;
       while (!stop.load(std::memory_order_relaxed)) {
         if (mpmc.TryPush(i)) pushed.fetch_add(1, std::memory_order_relaxed);
-        ASSERT_TRUE(lossy.Push(i));
         if (rng.Chance(0.1)) common::SleepMicros(50);
         ++i;
       }
@@ -395,7 +352,6 @@ TEST(QueueSoak, MixedTrafficUnderContention) {
             static_cast<int64_t>(
                 mpmc.PopAllFor(std::chrono::milliseconds(5)).size()),
             std::memory_order_relaxed);
-        (void)lossy.PopAllBounded(8);
       }
     });
   }

@@ -21,8 +21,7 @@ SELF_SYNC_TYPES = (
     "Mutex", "CondVar", "std::thread", "std::jthread", "MetricsRegistry",
     "common::Counter", "common::Gauge", "common::Histogram",
     "Counter", "Gauge", "Histogram", "MpmcQueue", "common::MpmcQueue",
-    "OverwriteQueue",
-    "common::OverwriteQueue", "EventCount", "common::EventCount",
+    "EventCount", "common::EventCount",
 )
 
 # --------------------------------------------------------------------------
@@ -49,7 +48,7 @@ BLOCKING_OPS = {
 # Functions allowed to block while holding a lock: the documented
 # wait-protocol / IO-under-own-lock sites. Key: qname suffix.
 BLOCKING_ALLOWLIST = {
-    # The spill protocol serializes overflow entries to disk *under* the
+    # The spill protocol serializes excess frames to disk *under* the
     # subscriber mutex by design: spilling races Unsubscribe teardown, and
     # the mutex is rank 420 — nothing above it is ever held on this path.
     # README "Spill-to-disk" documents the stall-the-producer trade-off.
@@ -129,9 +128,9 @@ GROWTH_CALLS = {
 # fast path.
 HOT_PRUNE = {
     "SubscriberQueue::SpillLocked":
-        "cold overflow branch: spill-to-disk only engages past the "
-        "overflow high-water mark; serialization cost is the documented "
-        "backpressure trade-off",
+        "cold excess branch: spill-to-disk only engages once the queue is "
+        "over its byte budget (or already spilling); serialization cost is "
+        "the documented backpressure trade-off",
     "SubscriberQueue::RestoreFromSpillLocked":
         "cold refill branch: only runs while a spill file exists",
     "SubscriberQueue::SampleFrame":

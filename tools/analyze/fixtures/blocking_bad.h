@@ -1,5 +1,6 @@
 // Seeded-violation fixture for the blocking-under-lock check: a direct
-// blocking op under a mutex, and one reached through a callee.
+// blocking op under a mutex, one reached through a callee, and one
+// reached through a field whose type names its namespace.
 #pragma once
 
 #include <cstdint>
@@ -25,5 +26,33 @@ class Blocky {
   }
 
  private:
+  Mutex mutex_{LockRank::kQueue};
+};
+
+namespace disk {
+
+class Journal {
+ public:
+  void Append(int64_t v) { SleepMillis(v); }  // blocks (stands in for I/O)
+};
+
+class Buffer {
+ public:
+  void Append(int64_t v) { last_ = v; }  // same name, never blocks
+  int64_t last_ = 0;
+};
+
+}  // namespace disk
+
+class Store {
+ public:
+  void Insert(int64_t v) {
+    MutexLock lock(mutex_);
+    // `Append` has two definitions, so only the field's type can pick one.
+    journal_.Append(v);  // EXPECT[BLOCK-LOCK] blocks through a disk:: field
+  }
+
+ private:
+  disk::Journal journal_;
   Mutex mutex_{LockRank::kQueue};
 };

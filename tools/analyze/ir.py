@@ -146,15 +146,21 @@ class Program:
                      "std::unique_ptr<", "std::weak_ptr<"):
             core = core.replace(junk, " ")
         core = core.replace(">", " ").replace("*", " ").replace("&", " ")
-        # last A::B::C-ish word, template args stripped
+        # last A::B::C-ish word, template args stripped. An exact match
+        # wins; otherwise the last `::` component decides, because the
+        # frontend records classes without their namespace
+        # (`storage::Wal journal_` must find class `Wal`).
         best = None
         for word in core.split():
             base = word.split("<")[0].strip(":")
             if not base:
                 continue
+            if base in self.classes:
+                best = base
+                continue
+            last = base.rsplit("::", 1)[-1]
             for cls in self.classes:
-                if cls == base or cls.endswith("::" + base.rsplit("::")[-1]) \
-                        and base.rsplit("::")[-1] == cls.rsplit("::")[-1]:
+                if cls.rsplit("::", 1)[-1] == last:
                     best = cls
         return best
 
